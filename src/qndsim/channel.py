@@ -32,12 +32,12 @@ class ChannelParams:
     def scramble_probability(self) -> float:
         """Probability that the pulse's phase reference is lost in transit.
 
-        With probability depolarization + birefringence_residual the branch
-        coherence between the pulse and the upstream atom is destroyed; with
-        probability depolarization the pulse is additionally scrambled out of
-        the interacting polarization and no longer drives the downstream atom.
-        Both effects are collective per pulse and are realized by the protocol
-        engine around the downstream reflection.
+        With probability depolarization + birefringence_residual the pulse is
+        scrambled out of the interacting polarization: its branch coherence
+        with the upstream atom is destroyed and it no longer drives the
+        downstream atom. Both effects are collective per pulse; the protocol
+        engine and the Monte Carlo oracle realize the decoupling around the
+        downstream reflection.
         """
         return self.depolarization + self.birefringence_residual
 

@@ -8,7 +8,7 @@ Usage:
 Exit codes: 0 success, 2 configuration error, 3 runtime error,
 4 comparison mismatch, 1 unexpected failure. Errors print a JSON object
 {"category": ..., "message": ...} on stderr. The QNDSIM_THREADS environment
-variable caps sweep parallelism.
+variable caps sweep parallelism. The runtime needs only numpy.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ _FIGURE_CELLS = {
 }
 # Click-conditioned figures also report a dark-count-free variant of each cell.
 _NODARK_FIGURES = ("fig3", "fig4", "figS1")
+# Failing cells that `compare` names in its report.
+_WORST_CELLS = 5
 
 
 def _format_number(value: float | None) -> str:
@@ -88,7 +90,7 @@ def _merge_nodark(
     return rows
 
 
-def _single_node_table(config: ExperimentConfig, max_workers: int) -> list[dict[str, float | None]]:
+def _single_node_table(config: ExperimentConfig) -> list[dict[str, float | None]]:
     # The single-node characterization is cheap and exact-only; the Monte Carlo
     # oracle samples the full cascade, not this reduced pipeline.
     def cells_for(mu: float) -> dict[str, float | None]:
@@ -122,8 +124,8 @@ def build_figure(figure: str, config: ExperimentConfig, max_workers: int = 1) ->
         header = list(rows[0].keys())
         return header, [[_format_number(r[k]) for k in header] for r in rows]
     if figure == "figS1":
-        rows = _single_node_table(config, max_workers)
-        quiet_rows = _single_node_table(_quiet_detectors(config), max_workers)
+        rows = _single_node_table(config)
+        quiet_rows = _single_node_table(_quiet_detectors(config))
         for row, quiet in zip(rows, quiet_rows):
             for node in (1, 2):
                 row[f"p_up{node}_given_click_nodark"] = quiet[f"p_up{node}_given_click"]
@@ -255,7 +257,14 @@ def _load_csv(path: str) -> tuple[list[str], list[list[str]]]:
 
 
 def compare(manifest_a: str, manifest_b: str) -> dict:
-    """Cell-wise comparison of two runs; 3-sigma aware when stderr columns exist."""
+    """Cell-wise comparison of two runs; 3-sigma aware when stderr columns exist.
+
+    A value cell fails when only one run has it, or when the two values differ
+    by more than 3 sigma (both runs' stderrs added in quadrature) or, without
+    stderrs, by more than 1e-12. "worst" names up to five failing cells as
+    file, data row (0-based), column, diff and sigma, ordered by diff over its
+    bound; a cell that cannot be differenced has diff None and ranks first.
+    """
     reports = {}
     with open(manifest_a, encoding="utf-8") as fh:
         ma = json.load(fh)
@@ -266,8 +275,8 @@ def compare(manifest_a: str, manifest_b: str) -> dict:
     if files_a != files_b:
         raise ConfigError(f"manifests list different files: {sorted(files_a)} vs {sorted(files_b)}")
     max_dev = 0.0
-    sigma_violations = 0
     cells_checked = 0
+    failures: list[tuple[float, dict]] = []  # (diff over its bound, cell)
     for name in sorted(files_a):
         path_a = os.path.join(os.path.dirname(os.path.abspath(manifest_a)), name)
         path_b = os.path.join(os.path.dirname(os.path.abspath(manifest_b)), name)
@@ -276,48 +285,46 @@ def compare(manifest_a: str, manifest_b: str) -> dict:
         if header_a != header_b or len(rows_a) != len(rows_b):
             raise ConfigError(f"schema mismatch in {name}")
         file_max = 0.0
-        for row_a, row_b in zip(rows_a, rows_b):
+        for row_index, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
             for col, (cell_a, cell_b) in enumerate(zip(row_a, row_b)):
                 column = header_a[col]
                 if column.endswith("_stderr") or column in ("condition", "tau_mode"):
                     continue
                 if not cell_a and not cell_b:
                     continue
+                cells_checked += 1
+                cell = {"file": name, "row": row_index, "column": column, "diff": None, "sigma": None}
                 if bool(cell_a) != bool(cell_b):
-                    sigma_violations += 1
-                    cells_checked += 1
+                    failures.append((math.inf, cell))
                     continue
                 try:
                     va, vb = float(cell_a), float(cell_b)
                 except ValueError:
                     if cell_a != cell_b:
-                        sigma_violations += 1
-                    cells_checked += 1
+                        failures.append((math.inf, cell))
                     continue
                 diff = abs(va - vb)
-                cells_checked += 1
                 file_max = max(file_max, diff)
                 err_col = f"{column}_stderr"
                 sigma = 0.0
                 if err_col in header_a:
                     idx = header_a.index(err_col)
-                    for row, hdr in ((row_a, header_a), (row_b, header_b)):
-                        cell = row[idx]
-                        if cell:
-                            sigma = math.hypot(sigma, float(cell))
-                if sigma > 0.0:
-                    if diff > 3.0 * sigma:
-                        sigma_violations += 1
-                elif diff > 1e-12:
-                    sigma_violations += 1
+                    for row in (row_a, row_b):
+                        if row[idx]:
+                            sigma = math.hypot(sigma, float(row[idx]))
+                bound = 3.0 * sigma if sigma > 0.0 else 1e-12
+                if diff > bound:
+                    failures.append((diff / bound, {**cell, "diff": diff, "sigma": sigma}))
         reports[name] = {"max_abs_diff": file_max}
         max_dev = max(max_dev, file_max)
+    failures.sort(key=lambda f: f[0], reverse=True)
     return {
         "files": reports,
         "max_abs_diff": max_dev,
         "cells_checked": cells_checked,
-        "sigma_violations": sigma_violations,
-        "pass": sigma_violations == 0,
+        "sigma_violations": len(failures),
+        "worst": [cell for _, cell in failures[:_WORST_CELLS]],
+        "pass": not failures,
     }
 
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.stats import poisson
 
 from .errors import SubsystemError, TruncationError
 
@@ -27,6 +25,21 @@ N_MAX_CAP = 24
 # Positivity checks cost O(dim^3); skip them above this dimension (transient
 # two-mode states inside detector models). Protocol states stay well below it.
 _POSITIVITY_DIM_LIMIT = 128
+
+
+def _poisson_sf(n: int, mean_photon: float) -> float:
+    """P(N > n) for N ~ Poisson(mean_photon), summed over the tail in log space.
+
+    The sum runs past the bulk of the distribution (about 40 standard
+    deviations above the mean, and at least 60 terms beyond n), so it stays
+    accurate when the mean lies far above n.
+    """
+    stop = n + 60 + int(mean_photon + 40.0 * math.sqrt(mean_photon))
+    k = np.arange(n + 1, stop + 1)
+    log_fact = np.array([math.lgamma(x + 1.0) for x in k.tolist()])
+    log_pmf = k * math.log(mean_photon) - mean_photon - log_fact
+    peak = log_pmf.max()
+    return float(math.exp(peak) * np.exp(log_pmf - peak).sum())
 
 
 def _check_density(matrix: np.ndarray, what: str) -> None:
@@ -68,7 +81,7 @@ class FockSpace:
         """Poisson weight beyond the cutoff for a coherent state of this mean."""
         if mean_photon == 0.0:
             return 0.0
-        return float(poisson.sf(self.n_max, mean_photon))
+        return _poisson_sf(self.n_max, mean_photon)
 
     def validate_mean_photon(self, mean_photon: float, tol: float = TRUNCATION_TAIL_TOL) -> None:
         tail = self.tail_probability(mean_photon)
@@ -84,7 +97,7 @@ class FockSpace:
         if mean_photon == 0.0:
             return 1
         for n in range(1, N_MAX_CAP + 1):
-            if poisson.sf(n, mean_photon) < tol:
+            if _poisson_sf(n, mean_photon) < tol:
                 return n
         raise TruncationError(
             f"mean photon number {mean_photon} needs n_max > cap {N_MAX_CAP} "
@@ -273,7 +286,7 @@ class JointState:
 def _apply_channel(
     matrix: np.ndarray,
     dims: Sequence[int],
-    kraus_ops: Iterable[np.ndarray],
+    kraus_ops: Sequence[np.ndarray],
     targets: Sequence[int],
 ) -> np.ndarray:
     """Apply sum_k K rho K^dagger where each K acts on the given subsystems."""
@@ -286,12 +299,22 @@ def _apply_channel(
     t = matrix.reshape(tuple(dims) * 2)
     t = np.transpose(t, axes=[*perm, *[k + p for p in perm]])
     t = np.ascontiguousarray(t).reshape(dt, dr, dt, dr)
-    out = np.zeros_like(t)
-    for kop in kraus_ops:
-        # out[a,r,d,s] = sum_{b,c} K[a,b] T[b,r,c,s] conj(K[d,c]), via BLAS
-        m = np.tensordot(kop, t, axes=(1, 0))  # (a, r, c, s)
-        m = np.tensordot(m, kop.conj(), axes=([2], [1]))  # (a, r, s, d)
-        out += np.transpose(m, (0, 1, 3, 2))
+    kraus = np.asarray(kraus_ops, dtype=complex)  # (K, dt, dt)
+    # Target indices whose rows and columns are exactly zero (a vacuum
+    # ancilla, a Fock input) contribute nothing, so the contraction runs over
+    # the input's support only.
+    support = np.flatnonzero(t.any(axis=(1, 2, 3)) | t.any(axis=(0, 1, 3)))
+    if support.size < dt:
+        t = t[support][:, :, support]
+        kraus = kraus[:, :, support]
+    nk, ns = kraus.shape[0], support.size
+    # The whole family in two BLAS calls:
+    # m[k,a,r,c,s] = sum_b K[k,a,b] T[b,r,c,s]
+    m = (kraus.reshape(nk * dt, ns) @ t.reshape(ns, dr * ns * dr)).reshape(nk, dt, dr, ns, dr)
+    # out[a,r,s,d] = sum_{k,c} m[k,a,r,c,s] conj(K[k,d,c])
+    m = m.transpose(1, 2, 4, 0, 3).reshape(dt * dr * dr, nk * ns)
+    right = kraus.conj().transpose(0, 2, 1).reshape(nk * ns, dt)
+    out = (m @ right).reshape(dt, dr, dr, dt).transpose(0, 1, 3, 2)
     out = out.reshape([dims[i] for i in perm] * 2)
     inv = list(np.argsort(perm))
     out = np.transpose(out, axes=[*inv, *[k + int(p) for p in inv]])
@@ -316,10 +339,21 @@ def _annihilation(dim: int) -> np.ndarray:
 def _beam_splitter_unitary(dim_a: int, dim_b: int, transmissivity: float, phase: float) -> np.ndarray:
     """Two-mode mixing a -> sqrt(T) a + ... with the reflected port phased by `phase`."""
     theta = math.acos(math.sqrt(transmissivity))
-    a = np.kron(_annihilation(dim_a), np.eye(dim_b))
-    b = np.kron(np.eye(dim_a), _annihilation(dim_b))
-    gen = theta * (np.exp(1j * phase) * a.conj().T @ b - np.exp(-1j * phase) * a @ b.conj().T)
-    return expm(gen)
+    a, b = _annihilation(dim_a), _annihilation(dim_b)
+    gen = theta * (
+        np.exp(1j * phase) * np.kron(a.conj().T, b) - np.exp(-1j * phase) * np.kron(a, b.conj().T)
+    )
+    # gen is anti-Hermitian, so exp(gen) = V diag(e^{iw}) V^dagger from
+    # eigh(-i gen). gen conserves the total photon number, truncated or not,
+    # so each fixed-total block is diagonalized on its own.
+    h = -1j * gen
+    u = np.zeros_like(h)
+    total = np.add.outer(np.arange(dim_a), np.arange(dim_b)).ravel()
+    for n in np.unique(total):
+        block = np.ix_(total == n, total == n)
+        w, v = np.linalg.eigh(h[block])
+        u[block] = (v * np.exp(1j * w)) @ v.conj().T
+    return u
 
 
 @lru_cache(maxsize=None)

@@ -65,6 +65,17 @@ class TestFiberChannel:
         p12 = dist.prob(lambda o: o.s1 and o.s2)
         assert p12 == pytest.approx(p1 * p2, abs=1e-9)
 
+    def test_full_birefringence_decouples_downstream_atom(self):
+        # Decoupling is keyed off depolarization + birefringence_residual, so a
+        # fully birefringent fiber alone leaves the downstream atom dark.
+        config = replace(default_config(), channel=ChannelParams(0.53, 0.0, 1.0))
+        p2_dark = run_cascade(config, 0.0).prob(lambda o: o.s2)
+        for mu in config.mean_photon_sweep:
+            table = run_cascade(config, mu).table.sum(axis=(2, 3))
+            p1, p2 = table.sum(axis=1), table.sum(axis=0)
+            assert p2[1] == pytest.approx(p2_dark, abs=1e-12)
+            assert np.max(np.abs(table - np.outer(p1, p2))) < 1e-12
+
     def test_full_depolarization_ideal_nodes(self):
         config = replace(ideal_config(), channel=ChannelParams(1.0, 1.0, 0.0))
         dist = run_cascade(config, 0.2)

@@ -122,6 +122,10 @@ class TestRunAndCompare:
         report = compare(str(tmp_path / "a" / "manifest.json"), str(tmp_path / "b" / "manifest.json"))
         assert not report["pass"]
         assert report["max_abs_diff"] > 0
+        worst = report["worst"]
+        assert 0 < len(worst) <= 5 and worst[0]["file"] == "fig2.csv"
+        assert worst[0]["diff"] == report["max_abs_diff"]
+        assert [w["diff"] for w in worst] == sorted((w["diff"] for w in worst), reverse=True)
         # the sweep axis itself is untouched
         header, rows_a = build_figure("fig2", small)
         _, rows_b = build_figure("fig2", perturbed)
@@ -177,3 +181,25 @@ class TestCliMain:
         assert (tmp_path / "serial" / "fig2.csv").read_bytes() == (
             tmp_path / "threaded" / "fig2.csv"
         ).read_bytes()
+
+    def test_runtime_does_not_import_scipy(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("sweep.mu = 0.04, 0.2, 0.9\n")
+        script = (
+            "import sys\n"
+            "from qndsim.cli import main\n"
+            f"assert main(['fig3', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'fig3')!r}]) == 0\n"
+            f"assert main(['table1', '--out', {str(tmp_path / 'table1')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "[]"

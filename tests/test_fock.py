@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_mode_state, random_qubit_mode_state
+from conftest import random_density_matrix, random_mode_state, random_qubit_mode_state
 from qndsim.errors import SubsystemError, TruncationError
 from qndsim.fock import (
+    N_MAX_CAP,
+    TRUNCATION_TAIL_TOL,
     FockSpace,
     JointState,
     ModeState,
@@ -20,6 +22,10 @@ from qndsim.fock import (
     phase_shift,
     thermal_state,
     vacuum_state,
+    _annihilation,
+    _apply_channel,
+    _beam_splitter_unitary,
+    _poisson_sf,
 )
 from qndsim.node import plus_x_state
 
@@ -283,3 +289,90 @@ def test_phase_shift_preserves_populations():
     st = random_mode_state(rng, 4).to_joint("m")
     out = phase_shift(st, "m", 1.234)
     assert np.allclose(np.diag(out.matrix), np.diag(st.matrix), atol=1e-14)
+
+
+def _apply_channel_per_kraus(matrix, dims, kraus_ops, targets):
+    """Reference: one pair of tensordots per Kraus operator, summed."""
+    k = len(dims)
+    others = [i for i in range(k) if i not in targets]
+    perm = list(targets) + others
+    dt = int(np.prod([dims[i] for i in targets]))
+    dr = int(np.prod([dims[i] for i in others])) if others else 1
+    t = matrix.reshape(tuple(dims) * 2)
+    t = np.transpose(t, axes=[*perm, *[k + p for p in perm]])
+    t = np.ascontiguousarray(t).reshape(dt, dr, dt, dr)
+    out = np.zeros_like(t)
+    for kop in kraus_ops:
+        m = np.tensordot(kop, t, axes=(1, 0))
+        m = np.tensordot(m, kop.conj(), axes=([2], [1]))
+        out += np.transpose(m, (0, 1, 3, 2))
+    out = out.reshape([dims[i] for i in perm] * 2)
+    inv = list(np.argsort(perm))
+    out = np.transpose(out, axes=[*inv, *[k + int(p) for p in inv]])
+    return np.ascontiguousarray(out).reshape(matrix.shape)
+
+
+class TestNumpyKernelsAgainstReferences:
+    """The numpy kernels against scipy and the per-Kraus loop they replace."""
+
+    def test_poisson_sf_matches_scipy(self):
+        from scipy.stats import poisson
+
+        for mu in np.concatenate([np.geomspace(1e-3, 800.0, 60), [3.11, 40.0, 799.9]]):
+            for n in range(1, 25):
+                ref = float(poisson.sf(n, mu))
+                assert _poisson_sf(n, float(mu)) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_required_cutoff_matches_scipy(self):
+        from scipy.stats import poisson
+
+        cutoffs = np.arange(1, N_MAX_CAP + 1)
+
+        def scipy_cutoff(mu):
+            below = np.flatnonzero(poisson.sf(cutoffs, mu) < TRUNCATION_TAIL_TOL)
+            return int(cutoffs[below[0]]) if below.size else None
+
+        for mu in np.linspace(1e-4, 6.0, 3001):
+            expected = scipy_cutoff(mu)
+            if expected is None:
+                with pytest.raises(TruncationError):
+                    FockSpace.required_cutoff(float(mu))
+            else:
+                assert FockSpace.required_cutoff(float(mu)) == expected, mu
+
+    @pytest.mark.parametrize(
+        "dim_a, dim_b, transmissivity, phase",
+        [(3, 5, 0.3, 0.7), (6, 4, 0.5, -1.2), (19, 19, 0.5, 0.0), (2, 7, 0.9, math.pi / 3)],
+    )
+    def test_beam_splitter_unitary_matches_expm(self, dim_a, dim_b, transmissivity, phase):
+        from scipy.linalg import expm
+
+        theta = math.acos(math.sqrt(transmissivity))
+        a = np.kron(_annihilation(dim_a), np.eye(dim_b))
+        b = np.kron(np.eye(dim_a), _annihilation(dim_b))
+        gen = theta * (np.exp(1j * phase) * a.conj().T @ b - np.exp(-1j * phase) * a @ b.conj().T)
+        u = _beam_splitter_unitary(dim_a, dim_b, transmissivity, phase)
+        assert np.max(np.abs(u - expm(gen))) < 1e-12
+
+    def test_stacked_kraus_matches_per_kraus_loop(self):
+        rng = np.random.default_rng(2024)
+        for case in range(40):
+            dims = tuple(int(d) for d in rng.integers(2, 6, size=rng.integers(1, 5)))
+            rho = random_density_matrix(rng, int(np.prod(dims)))
+            n_targets = int(rng.integers(1, len(dims) + 1))
+            order = [int(i) for i in rng.permutation(len(dims))]
+            if case % 2:
+                # a vacuum ancilla among the targets leaves exactly-zero rows
+                # and columns on the contracted index
+                dims += (3,)
+                rho = np.kron(rho, np.diag([1.0, 0.0, 0.0]).astype(complex))
+                order.insert(int(rng.integers(n_targets)), len(dims) - 1)
+            targets = order[:n_targets]
+            dt = int(np.prod([dims[i] for i in targets]))
+            n_kraus = int(rng.integers(1, 7))
+            # a random isometry cut into blocks is a trace-preserving family
+            g = rng.normal(size=(n_kraus * dt, dt)) + 1j * rng.normal(size=(n_kraus * dt, dt))
+            kraus = list(np.linalg.qr(g)[0].reshape(n_kraus, dt, dt))
+            got = _apply_channel(rho, dims, kraus, targets)
+            ref = _apply_channel_per_kraus(rho, dims, kraus, targets)
+            assert np.max(np.abs(got - ref)) < 1e-13, (dims, targets, n_kraus)
