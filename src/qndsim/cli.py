@@ -7,8 +7,7 @@ Usage:
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error,
 4 comparison mismatch, 1 unexpected failure. Errors print a JSON object
-{"category": ..., "message": ...} on stderr. The QNDSIM_THREADS environment
-variable caps sweep parallelism. The runtime needs only numpy.
+{"category": ..., "message": ...} on stderr. The runtime needs only numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass, replace
 from . import __version__
 from .config import default_config, parse_config, serialize_config
 from .errors import ConfigError, QndsimError
-from .estimators import EstimateTable, g2_table, sweep_estimates
+from .estimators import EstimateTable, g2_table, quiet_detectors, sweep_estimates
 from .protocol import ExperimentConfig, run_single
 from .sorter import SorterConfig, run_sorter
 
@@ -36,8 +35,9 @@ _FIGURE_CELLS = {
     "fig3": ("p_up1_given_click", "p_up2_given_click", "p_or_given_click", "p_and_given_click"),
     "fig4": ("p_up2_given_click", "p_up2_given_up1_and_click"),
 }
-# Click-conditioned figures also report a dark-count-free variant of each cell.
-_NODARK_FIGURES = ("fig3", "fig4", "figS1")
+# Click-conditioned sweeps also report a dark-count-free variant of each cell
+# (figS1 always carries its own).
+_NODARK_FIGURES = ("fig3", "fig4")
 # Failing cells that `compare` names in its report.
 _WORST_CELLS = 5
 
@@ -46,25 +46,6 @@ def _format_number(value: float | None) -> str:
     if value is None:
         return ""
     return format(float(value), ".15g")
-
-
-def _threads(n_points: int) -> int:
-    raw = os.environ.get("QNDSIM_THREADS", "")
-    if raw.strip():
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"QNDSIM_THREADS must be an integer, got {raw!r}") from None
-        return max(1, min(cap, n_points))
-    return 1
-
-
-def _quiet_detectors(config: ExperimentConfig) -> ExperimentConfig:
-    return replace(
-        config,
-        detector_a=replace(config.detector_a, dark_rate=0.0),
-        detector_b=replace(config.detector_b, dark_rate=0.0),
-    )
 
 
 def _table_rows(table: EstimateTable, cells: tuple[str, ...]) -> list[dict[str, float | None]]:
@@ -112,20 +93,20 @@ def _single_node_table(config: ExperimentConfig) -> list[dict[str, float | None]
     return [cells_for(mu) for mu in config.mean_photon_sweep]
 
 
-def build_figure(figure: str, config: ExperimentConfig, max_workers: int = 1) -> tuple[list[str], list[list[str]]]:
+def build_figure(figure: str, config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     """(header, rows) of the CSV for one figure selection."""
     if figure in ("fig2", "fig3", "fig4"):
         cells = _FIGURE_CELLS[figure]
-        table = sweep_estimates(config, max_workers=max_workers)
+        table = sweep_estimates(config)
         rows = _table_rows(table, cells)
         if figure in _NODARK_FIGURES:
-            nodark = sweep_estimates(_quiet_detectors(config), max_workers=max_workers)
+            nodark = sweep_estimates(quiet_detectors(config))
             rows = _merge_nodark(rows, nodark, cells)
         header = list(rows[0].keys())
         return header, [[_format_number(r[k]) for k in header] for r in rows]
     if figure == "figS1":
         rows = _single_node_table(config)
-        quiet_rows = _single_node_table(_quiet_detectors(config))
+        quiet_rows = _single_node_table(quiet_detectors(config))
         for row, quiet in zip(rows, quiet_rows):
             for node in (1, 2):
                 row[f"p_up{node}_given_click_nodark"] = quiet[f"p_up{node}_given_click"]
@@ -220,7 +201,7 @@ def run(
     manifest_path = os.path.join(out_dir, "manifest.json")
     created: list[str] = []
     try:
-        header, rows = build_figure(figure, config, max_workers=_threads(len(config.mean_photon_sweep)))
+        header, rows = build_figure(figure, config)
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:

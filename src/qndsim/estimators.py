@@ -87,7 +87,7 @@ def cells_from_distribution(dist: JointDistribution) -> dict[str, float | None]:
     return out
 
 
-def sweep_estimates(config: ExperimentConfig, max_workers: int = 1) -> EstimateTable:
+def sweep_estimates(config: ExperimentConfig) -> EstimateTable:
     """One row per mean photon number; exact probabilities or Monte Carlo estimates."""
     if config.mode == "monte_carlo":
         from . import montecarlo
@@ -98,19 +98,20 @@ def sweep_estimates(config: ExperimentConfig, max_workers: int = 1) -> EstimateT
             rows.append(EstimateRow(mu, est.values, est.stderrs, est.counts))
         return EstimateTable(tuple(rows))
 
-    def one(mu: float) -> EstimateRow:
+    rows = []
+    for mu in config.mean_photon_sweep:
         cells = cells_from_distribution(run_cascade(config, mu))
-        zeros = {c: 0.0 for c in cells}
-        return EstimateRow(mu, cells, zeros)
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(one, config.mean_photon_sweep))
-    else:
-        rows = [one(mu) for mu in config.mean_photon_sweep]
+        rows.append(EstimateRow(mu, cells, {c: 0.0 for c in cells}))
     return EstimateTable(tuple(rows))
+
+
+def quiet_detectors(config: ExperimentConfig) -> ExperimentConfig:
+    """The same experiment with the absorbing detectors' dark counts disabled."""
+    return replace(
+        config,
+        detector_a=replace(config.detector_a, dark_rate=0.0),
+        detector_b=replace(config.detector_b, dark_rate=0.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -129,12 +130,7 @@ class SnrReport:
 
 def _no_light_dark_counts(config: ExperimentConfig) -> tuple[float, float, float]:
     """Pipeline at zero input with the absorbing detectors' dark counts disabled."""
-    quiet = replace(
-        config,
-        detector_a=replace(config.detector_a, dark_rate=0.0),
-        detector_b=replace(config.detector_b, dark_rate=0.0),
-        input_kind="coherent",
-    )
+    quiet = replace(quiet_detectors(config), input_kind="coherent")
     dist = run_cascade(quiet, 0.0)
     return (
         dist.prob(lambda o: o.s1),

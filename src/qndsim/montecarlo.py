@@ -26,17 +26,9 @@ from .protocol import ExperimentConfig
 
 HALF_PI = math.pi / 2.0
 
-# Per-photon fate categories through the cascade.
-FATES = (
-    "lost_node1",
-    "lost_fiber",
-    "lost_node2",
-    "lost_detection",
-    "reach_a_miss",
-    "detected_a",
-    "reach_b_miss",
-    "detected_b",
-)
+# Per-photon fate categories through the cascade, in fate_counts column order:
+# lost at node 1, in the fiber, at node 2, before the detectors; reaching
+# detector a and missed or detected; reaching detector b and missed or detected.
 _F_LOST1, _F_FIBER, _F_LOST2, _F_LOSTD, _F_AMISS, _F_AHIT, _F_BMISS, _F_BHIT = range(8)
 
 _STAGES = {
@@ -58,22 +50,8 @@ def _mu_tag(mean_photon: float) -> int:
     return int(np.float64(mean_photon).view(np.uint64))
 
 
-class TrialStream:
-    """Counter-based per-trial randomness: deterministic in (seed, trial, stage)."""
-
-    def __init__(self, seed: int, trial_index: int, mean_photon: float = 0.0):
-        self.seed = int(seed)
-        self.trial_index = int(trial_index)
-        self.mean_photon = float(mean_photon)
-
-    def stage(self, name: str) -> np.random.Generator:
-        counter = [self.trial_index, _STAGES[name], _mu_tag(self.mean_photon), 1]
-        return np.random.Generator(
-            np.random.Philox(key=self.seed & (2**64 - 1), counter=counter)
-        )
-
-
 def _sweep_stream(seed: int, mean_photon: float, name: str) -> np.random.Generator:
+    # The trailing 2 is a fixed tag: changing it would change every seed's streams.
     counter = [0, _STAGES[name], _mu_tag(mean_photon), 2]
     return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1), counter=counter))
 
@@ -156,20 +134,6 @@ class _Model:
         )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    photon_number: int
-    fate_counts: tuple[int, ...]  # per FATES category
-    depolarized: bool
-    prep_good: tuple[bool, bool]
-    atom_up: tuple[bool, bool]
-    clicks: tuple[bool, bool]
-
-    def surviving_after(self, stage: int) -> int:
-        """Photons still in the main mode after loss stage 0..3."""
-        return self.photon_number - sum(self.fate_counts[: stage + 1])
-
-
 def _atom_probabilities(
     model: _Model,
     fate_counts: np.ndarray,
@@ -211,52 +175,13 @@ def _atom_probabilities(
     return probs / norm[:, None, None]
 
 
-def sample_trial(config: ExperimentConfig, mean_photon: float, rng_stream: TrialStream) -> TrialRecord:
-    """One experimental run; deterministic given (seed, trial index)."""
-    model = _Model.from_config(config)
-    prep_good = tuple(
-        bool(rng_stream.stage(f"prep{j + 1}").random() < model.prep[j]) for j in (0, 1)
-    )
-    if config.input_kind == "fock":
-        n = config.fock_n
-    else:
-        n = int(rng_stream.stage("photon_number").poisson(mean_photon))
-    depolarized = bool(rng_stream.stage("depolarization").random() < model.scramble)
-
-    c1 = model.c_good[0] if prep_good[0] else model.c_bad[0]
-    c2 = model.c_good[1] if prep_good[1] else model.c_bad[1]
-    weights = np.outer(np.abs(c1) ** 2, np.abs(c2) ** 2).ravel()
-    label = int(rng_stream.stage("branch_label").choice(4, p=weights / weights.sum()))
-    x0, y0 = divmod(label, 2)
-    fate_counts = rng_stream.stage("fates").multinomial(n, model.prob[int(depolarized), x0, y0])
-
-    probs = _atom_probabilities(
-        model,
-        fate_counts[None, :],
-        np.array([depolarized]),
-        c1[None, :],
-        c2[None, :],
-    )[0]
-    r = rng_stream.stage("atom_outcome").random()
-    flat = probs.ravel().cumsum()
-    z = int(np.searchsorted(flat, r * flat[-1], side="right"))
-    z1, z2 = divmod(min(z, 3), 2)
-    s1 = (z1 == 0) ^ (rng_stream.stage("readout1").random() < 1.0 - model.readout[0])
-    s2 = (z2 == 0) ^ (rng_stream.stage("readout2").random() < 1.0 - model.readout[1])
-    click_a = fate_counts[_F_AHIT] > 0 or rng_stream.stage("dark_a").random() < model.p_dark[0]
-    click_b = fate_counts[_F_BHIT] > 0 or rng_stream.stage("dark_b").random() < model.p_dark[1]
-    return TrialRecord(
-        photon_number=n,
-        fate_counts=tuple(int(v) for v in fate_counts),
-        depolarized=depolarized,
-        prep_good=prep_good,
-        atom_up=(bool(s1), bool(s2)),
-        clicks=(bool(click_a), bool(click_b)),
-    )
-
-
 def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) -> dict:
-    """Vectorized sampler; same model and distribution as sample_trial."""
+    """Sample `trials` independent runs at one mean photon number.
+
+    Returns per-trial arrays: photon number "n", "fate_counts" (trials, 8) in
+    the _F_* column order, "depolarized", the readouts "s1"/"s2" (True = up)
+    and the detector clicks "click_a"/"click_b".
+    """
     model = _Model.from_config(config)
     seed = config.seed
     stream = lambda name: _sweep_stream(seed, mean_photon, name)

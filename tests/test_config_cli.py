@@ -171,17 +171,6 @@ class TestCliMain:
         assert rc == 0
         assert time.time() - start < 60
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, base_config, monkeypatch):
-        from dataclasses import replace
-
-        small = replace(base_config, mean_photon_sweep=(0.04, 0.2, 0.9))
-        run("fig2", small, str(tmp_path / "serial"))
-        monkeypatch.setenv("QNDSIM_THREADS", "3")
-        run("fig2", small, str(tmp_path / "threaded"))
-        assert (tmp_path / "serial" / "fig2.csv").read_bytes() == (
-            tmp_path / "threaded" / "fig2.csv"
-        ).read_bytes()
-
     def test_runtime_does_not_import_scipy(self, tmp_path):
         import os
         import subprocess

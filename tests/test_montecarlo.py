@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qndsim.estimators import CELLS, cells_from_distribution
-from qndsim.montecarlo import TrialStream, estimate, g2_estimate, sample_trial
+from qndsim.config import build_config, config_values, default_config
+from qndsim.estimators import CELLS, cells_from_distribution, quiet_detectors
+from qndsim.montecarlo import _simulate_arrays, estimate, g2_estimate
 from qndsim.protocol import run_cascade
 
 
@@ -15,52 +18,44 @@ def sigma_deviation(exact, mc, stderr):
     return abs(exact - mc) / stderr
 
 
-class TestSampleTrial:
+class TestSimulateArrays:
     def test_no_light_produces_no_clicks(self, base_config):
-        cfg = replace(
-            base_config,
-            detector_a=replace(base_config.detector_a, dark_rate=0.0),
-            detector_b=replace(base_config.detector_b, dark_rate=0.0),
-        )
-        ups = 0
-        trials = 4000
-        for i in range(trials):
-            rec = sample_trial(cfg, 0.0, TrialStream(cfg.seed, i))
-            assert rec.clicks == (False, False)
-            assert rec.photon_number == 0
-            ups += rec.atom_up[0]
+        cfg = quiet_detectors(base_config)
+        trials = 20_000
+        arrays = _simulate_arrays(cfg, 0.0, trials)
+        assert not arrays["click_a"].any() and not arrays["click_b"].any()
+        assert not arrays["n"].any()
         dc1 = cfg.node1.imperfections.dark_count
         stderr = math.sqrt(dc1 * (1 - dc1) / trials)
-        assert abs(ups / trials - dc1) < 4 * stderr
+        assert abs(arrays["s1"].mean() - dc1) < 4 * stderr
 
     def test_forced_single_photon_ideal(self, perfect_config):
         cfg = replace(perfect_config, input_kind="fock", fock_n=1)
-        for i in range(200):
-            rec = sample_trial(cfg, 1.0, TrialStream(cfg.seed, i))
-            assert rec.atom_up == (True, True)
-            assert rec.clicks[0] != rec.clicks[1]  # exactly one detector fires
+        arrays = _simulate_arrays(cfg, 1.0, 2_000)
+        assert arrays["s1"].all() and arrays["s2"].all()
+        assert (arrays["click_a"] != arrays["click_b"]).all()  # exactly one detector fires
 
-    def test_deterministic_in_seed_and_index(self, base_config):
-        a = sample_trial(base_config, 0.084, TrialStream(7, 123, 0.084))
-        b = sample_trial(base_config, 0.084, TrialStream(7, 123, 0.084))
-        assert a == b
+    def test_deterministic_in_arguments(self, base_config):
+        a = _simulate_arrays(base_config, 0.084, 1_000)
+        b = _simulate_arrays(base_config, 0.084, 1_000)
+        assert a.keys() == b.keys()
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key])
 
     def test_survival_counts_never_exceed_input(self, base_config):
-        for i in range(300):
-            rec = sample_trial(base_config, 0.45, TrialStream(base_config.seed, i, 0.45))
-            assert sum(rec.fate_counts) == rec.photon_number
-            for stage in range(4):
-                assert 0 <= rec.surviving_after(stage) <= rec.photon_number
+        arrays = _simulate_arrays(base_config, 0.45, 20_000)
+        n, fates = arrays["n"], arrays["fate_counts"]
+        np.testing.assert_array_equal(fates.sum(axis=1), n)
+        # photons still in the main mode after loss stages 0..3
+        surviving = n[:, None] - np.cumsum(fates[:, :4], axis=1)
+        assert (surviving >= 0).all() and (surviving <= n[:, None]).all()
 
     def test_matches_exact_engine_statistically(self, base_config):
         mu, trials = 0.084, 20_000
         exact = cells_from_distribution(run_cascade(base_config, mu))
-        records = [
-            sample_trial(base_config, mu, TrialStream(base_config.seed, i, mu))
-            for i in range(trials)
-        ]
-        s1 = np.array([r.atom_up[0] for r in records])
-        click = np.array([r.clicks[0] or r.clicks[1] for r in records])
+        arrays = _simulate_arrays(base_config, mu, trials)
+        s1 = arrays["s1"]
+        click = arrays["click_a"] | arrays["click_b"]
         p1 = s1.mean()
         assert sigma_deviation(exact["p_up1"], p1, math.sqrt(p1 * (1 - p1) / trials)) < 4
         p1c = s1[click].mean()
@@ -68,6 +63,52 @@ class TestSampleTrial:
         assert sigma_deviation(
             exact["p_up1_given_click"], p1c, math.sqrt(p1c * (1 - p1c) / n_c)
         ) < 4
+
+
+_fidelity = st.floats(0.85, 1.0)
+_detuning = st.floats(-1.5, 1.5)
+
+
+@st.composite
+def random_configs(draw):
+    """Valid configs around the default, with one sweep point and either input kind."""
+    values = config_values(default_config())
+    for name in ("node1", "node2"):
+        values[f"{name}.reflection_contrast"] = draw(st.floats(0.3, 1.0))
+        values[f"{name}.prep_fidelity"] = draw(_fidelity)
+        values[f"{name}.readout_fidelity"] = draw(_fidelity)
+        values[f"{name}.delta_c"] = draw(_detuning)
+        values[f"{name}.delta_a"] = draw(_detuning)
+    values["channel.transmission"] = draw(st.floats(0.2, 1.0))
+    values["channel.depolarization"] = draw(st.floats(0.0, 0.1))
+    values["channel.birefringence_residual"] = draw(st.floats(0.0, 0.05))
+    values["detection.efficiency"] = draw(st.floats(0.3, 1.0))
+    values["input.kind"] = draw(st.sampled_from(("coherent", "fock")))
+    values["input.fock_n"] = 1
+    values["sweep.mu"] = (draw(st.floats(0.05, 1.0)),)
+    return build_config(values)
+
+
+class TestEnginesAgreeOnRandomConfigs:
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(config=random_configs())
+    def test_every_populated_cell_within_4_sigma(self, config):
+        # sigma comes from the exact probability, so a cell the sampler fills
+        # with all-ones or all-zeros still gets a nonzero bound.
+        mu = config.mean_photon_sweep[0]
+        exact = cells_from_distribution(run_cascade(config, mu))
+        est = estimate(config, mu, 100_000)
+        checked = 0
+        for cell in CELLS:
+            n_eff = est.counts[cell]
+            if n_eff < 100:
+                continue
+            p = exact[cell]
+            assert p is not None, cell
+            stderr = math.sqrt(p * (1.0 - p) / n_eff)
+            assert sigma_deviation(p, est.values[cell], stderr) < 4, (cell, p, est.values[cell], n_eff)
+            checked += 1
+        assert checked >= 4  # both marginals and both cross-conditioned cells
 
 
 class TestEstimate:
@@ -107,12 +148,7 @@ class TestEstimate:
         assert reference / 3 <= triple <= reference * 3
 
     def test_absent_cells_flagged(self, perfect_config):
-        cfg = replace(
-            perfect_config,
-            detector_a=replace(perfect_config.detector_a, dark_rate=0.0),
-            detector_b=replace(perfect_config.detector_b, dark_rate=0.0),
-        )
-        est = estimate(cfg, 0.0, 5_000)
+        est = estimate(quiet_detectors(perfect_config), 0.0, 5_000)
         assert est.values["p_up1_given_click"] is None
         assert est.counts["p_up1_given_click"] == 0
 
