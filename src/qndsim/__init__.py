@@ -15,7 +15,7 @@ from .estimators import (
     EstimateTable,
     G2Row,
     SnrReport,
-    g2_from_state,
+    g2_from_numbers,
     g2_table,
     snr,
     sweep_estimates,
@@ -54,7 +54,7 @@ from .protocol import (
     JointDistribution,
     NodeConfig,
     Outcome,
-    condition,
+    branch_photon_numbers,
     conditioned_photon_state,
     run_cascade,
     run_single,

@@ -227,8 +227,7 @@ def ideal_config(
     )
 
 
-def _format_value(key: str, config: ExperimentConfig) -> str:
-    value = config_values(config)[key]
+def _format_value(value: object) -> str:
     if isinstance(value, tuple):
         return ", ".join(repr(v) for v in value)
     return repr(value) if not isinstance(value, str) else value
@@ -281,5 +280,6 @@ def serialize_config(config: ExperimentConfig) -> str:
     """Flat text that parse_config_text() maps back to an equal config."""
     if config.node1.reflection_override is not None or config.node2.reflection_override is not None:
         raise ConfigError("configs with explicit reflection overrides have no file form")
-    lines = [f"{key} = {_format_value(key, config)}" for key in sorted(_SCHEMA)]
+    values = config_values(config)
+    lines = [f"{key} = {_format_value(values[key])}" for key in sorted(_SCHEMA)]
     return "\n".join(lines) + "\n"

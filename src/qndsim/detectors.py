@@ -99,12 +99,3 @@ def hbt_split_and_count(
         (True, True): p_both,
     }
 
-
-def either_click_weights(
-    dim: int, params_a: DetectorParams, params_b: DetectorParams
-) -> np.ndarray:
-    """Diagonal weights, before the 50:50 split, for 'at least one detector clicks'."""
-    n = np.arange(dim)
-    miss = ((1.0 - params_a.efficiency) + (1.0 - params_b.efficiency)) / 2.0
-    no_click = (1.0 - params_a.p_dark) * (1.0 - params_b.p_dark) * miss**n
-    return 1.0 - no_click

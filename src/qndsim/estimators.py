@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from .errors import ZeroProbabilityError
-from .fock import ModeState, moments
 from .protocol import (
     ExperimentConfig,
     JointDistribution,
-    conditioned_photon_state,
+    branch_photon_numbers,
     run_cascade,
 )
 
@@ -129,14 +130,13 @@ class SnrReport:
 
 
 def _no_light_dark_counts(config: ExperimentConfig) -> tuple[float, float, float]:
-    """Pipeline at zero input with the absorbing detectors' dark counts disabled."""
-    quiet = replace(quiet_detectors(config), input_kind="coherent")
-    dist = run_cascade(quiet, 0.0)
-    return (
-        dist.prob(lambda o: o.s1),
-        dist.prob(lambda o: o.s2),
-        dist.prob(lambda o: o.s1 and o.s2),
-    )
+    """P(up1), P(up2) and P(up1 and up2) at zero input.
+
+    Atomic marginals do not depend on the absorbing detectors, so they come
+    from the branch photon-number table without a detector split.
+    """
+    p = branch_photon_numbers(replace(config, input_kind="coherent"), 0.0).sum(-1)
+    return float(p[1].sum()), float(p[:, 1].sum()), float(p[1, 1])
 
 
 def _ratio(num: float, den: float) -> float:
@@ -171,20 +171,27 @@ def snr(config: ExperimentConfig) -> SnrReport:
     )
 
 
-def g2_from_state(state: ModeState) -> float:
-    """g2(0) = <n(n-1)> / <n>^2 of a single-mode state."""
-    joint = state.to_joint("m")
-    n_mean, n_fac2 = moments(joint, "m")
-    if n_mean <= 0.0:
-        raise ZeroProbabilityError("g2 undefined for a state with zero mean photon number")
-    return n_fac2 / n_mean**2
+def g2_from_numbers(weights: np.ndarray) -> float | None:
+    """g2(0) = W sum n(n-1) w / (sum n w)^2 of photon-number weights w with total W.
+
+    The weights need not be normalized. None when there is no weight or no
+    photon, where g2 is undefined.
+    """
+    w = np.asarray(weights, dtype=float)
+    n = np.arange(len(w))
+    total, mean = float(w.sum()), float(n @ w)
+    if total <= 0.0 or mean <= 0.0:
+        return None
+    return total * float((n * (n - 1)) @ w) / mean**2
 
 
-G2_CONDITIONS: dict[str, Callable] = {
-    "none": lambda o: True,
-    "up1": lambda o: o.s1,
-    "up2": lambda o: o.s2,
-    "up1_and_up2": lambda o: o.s1 and o.s2,
+# condition -> mask over the (s1, s2) readout branches it keeps; both engines
+# report the rows in this order.
+G2_CONDITIONS: dict[str, np.ndarray] = {
+    "none": np.array([[True, True], [True, True]]),
+    "up1": np.array([[False, False], [True, True]]),
+    "up2": np.array([[False, True], [False, True]]),
+    "up1_and_up2": np.array([[False, False], [False, True]]),
 }
 
 
@@ -198,29 +205,22 @@ class G2Row:
     tau_mode: str  # 'analytic' (exact engine: independent trials) or 'sampled'
 
 
-def g2_table(
-    config: ExperimentConfig,
-    mean_photon: float = 0.45,
-    conditions: Sequence[str] = ("none", "up1", "up2", "up1_and_up2"),
-) -> tuple[G2Row, ...]:
+def g2_table(config: ExperimentConfig, mean_photon: float = 0.45) -> tuple[G2Row, ...]:
     """Second-order correlation at zero delay, conditioned on node outcomes.
 
-    In exact mode the cross-trial value g2(tau != 0) is 1 by construction
-    (independent identically prepared pulses) and is flagged 'analytic'; in
-    monte_carlo mode both entries are estimated from sampled clicks.
+    In exact mode every row comes from one branch photon-number table, and the
+    cross-trial value g2(tau != 0) is 1 by construction (independent
+    identically prepared pulses) and is flagged 'analytic'; in monte_carlo
+    mode both entries are estimated from sampled clicks.
     """
     if config.mode == "monte_carlo":
         from . import montecarlo
 
-        return montecarlo.g2_estimate(config, mean_photon, config.trials, conditions)
+        return montecarlo.g2_estimate(config, mean_photon, config.trials)
 
+    numbers = branch_photon_numbers(config, mean_photon)
     rows = []
-    for name in conditions:
-        predicate = G2_CONDITIONS[name]
-        try:
-            state = conditioned_photon_state(config, mean_photon, predicate)
-            value = g2_from_state(state)
-        except ZeroProbabilityError:
-            value = None
+    for name, keep in G2_CONDITIONS.items():
+        value = g2_from_numbers(numbers[keep].sum(0))
         rows.append(G2Row(name, value, 0.0 if value is not None else None, 1.0, 0.0, "analytic"))
     return tuple(rows)

@@ -220,14 +220,6 @@ class JointState:
     def dims(self) -> tuple[int, ...]:
         return tuple(2 if k == "q" else s.dim for k, s in zip(self.kinds, self.spaces))
 
-    @property
-    def qubit_count(self) -> int:
-        return self.kinds.count("q")
-
-    @property
-    def mode_spaces(self) -> tuple[FockSpace, ...]:
-        return tuple(s for s in self.spaces if s is not None)
-
     def position(self, label: str) -> int:
         try:
             return self.labels.index(label)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import CELLS, G2Row
+from .estimators import CELLS, G2_CONDITIONS, G2Row
 from .node import rotation_matrix
 from .protocol import ExperimentConfig
 
@@ -282,24 +282,13 @@ def estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> McEst
     return McEstimate(mean_photon, trials, values, stderrs, counts)
 
 
-def g2_estimate(
-    config: ExperimentConfig,
-    mean_photon: float,
-    trials: int,
-    conditions=("none", "up1", "up2", "up1_and_up2"),
-) -> tuple[G2Row, ...]:
+def g2_estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> tuple[G2Row, ...]:
     """Click-coincidence estimate of g2(0) and the cross-trial g2(tau != 0)."""
     arrays = _simulate_arrays(config, mean_photon, trials)
-    s1, s2 = arrays["s1"], arrays["s2"]
-    masks = {
-        "none": np.ones_like(s1, dtype=bool),
-        "up1": s1,
-        "up2": s2,
-        "up1_and_up2": s1 & s2,
-    }
+    s1, s2 = arrays["s1"].astype(int), arrays["s2"].astype(int)
     rows = []
-    for name in conditions:
-        mask = masks[name]
+    for name, keep in G2_CONDITIONS.items():
+        mask = keep[s1, s2]
         a = arrays["click_a"][mask]
         b = arrays["click_b"][mask]
         n_eff, na, nb = a.size, int(a.sum()), int(b.sum())

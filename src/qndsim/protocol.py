@@ -1,21 +1,22 @@
 """Full two-detector cascade and single-detector characterization pipelines.
 
 Produces exact joint outcome distributions over the two atomic readouts and
-the two absorbing detectors. Atomic readout is applied before the photon
-counting; all measurement channels act on disjoint subsystems, so this
-ordering does not affect the joint table.
+the two absorbing detectors, and the readout-resolved photon-number table
+P[s1, s2, n] that the g2 and no-light estimators read. Atomic readout is
+applied before the photon counting; all measurement channels act on disjoint
+subsystems, so this ordering does not affect the joint table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import ChannelParams, detection_path, fiber_channel
-from .detectors import DetectorParams, either_click_weights, hbt_split_and_count
+from .detectors import DetectorParams, hbt_split_and_count
 from .errors import ConfigError, ZeroProbabilityError
 from .fock import (
     FockSpace,
@@ -167,10 +168,6 @@ class JointDistribution:
         return JointDistribution(self.axes, self.table * mask / total), total
 
 
-def condition(dist: JointDistribution, predicate: Callable) -> tuple[JointDistribution, float]:
-    return dist.condition(predicate)
-
-
 def _pulse_area_rotation(state: JointState, qubit: str, imp: NodeImperfections) -> JointState:
     return rotate(state, qubit, "y", HALF_PI, imp.over_rotation())
 
@@ -217,39 +214,64 @@ def _propagate_cascade(config: ExperimentConfig, mean_photon: float) -> JointSta
     return state
 
 
-def _readout_branches(
-    state: JointState, config: ExperimentConfig
-) -> list[tuple[bool, bool, float, JointState | None]]:
-    """(s1, s2, joint probability, conditional photon-mode state) per branch."""
-    f1 = config.node1.imperfections.readout_fidelity
-    f2 = config.node2.imperfections.readout_fidelity
-    branches = []
-    read1 = detect_state(state, "a1", f1)
-    for s1 in (False, True):
-        p1 = read1.probability(s1)
-        after1 = read1.conditional_or_none(s1)
-        if p1 <= 0.0 or after1 is None:
-            for s2 in (False, True):
-                branches.append((s1, s2, 0.0, None))
-            continue
-        read2 = detect_state(after1, "a2", f2)
-        for s2 in (False, True):
-            joint = p1 * read2.probability(s2)
-            branches.append((s1, s2, joint, read2.conditional_or_none(s2)))
+_Branch = tuple[tuple[int, ...], float, JointState]
+
+
+def _readout_branches(state: JointState, readouts: Sequence[tuple[str, float]]) -> list[_Branch]:
+    """(readout bits, joint probability, conditional state) of every reachable branch.
+
+    The atoms are read in the given order, each as (qubit label, readout
+    fidelity); bit 1 means 'up'. A branch too improbable to condition on is
+    dropped together with every branch below it.
+    """
+    branches = [((), 1.0, state)]
+    for qubit, fidelity in readouts:
+        deeper = []
+        for bits, p, current in branches:
+            read = detect_state(current, qubit, fidelity)
+            for up in (0, 1):
+                p_up, cond = read.probability(up), read.conditional_or_none(up)
+                if p_up > 0.0 and cond is not None:
+                    deeper.append((bits + (up,), p * p_up, cond))
+        branches = deeper
     return branches
+
+
+def _cascade_branches(config: ExperimentConfig, mean_photon: float) -> list[_Branch]:
+    """Readout branches (s1, s2) of the propagated cascade; each keeps only the photon mode."""
+    readouts = [
+        ("a1", config.node1.imperfections.readout_fidelity),
+        ("a2", config.node2.imperfections.readout_fidelity),
+    ]
+    return _readout_branches(_propagate_cascade(config, mean_photon), readouts)
+
+
+def _click_table(branches: list[_Branch], config: ExperimentConfig, atoms: int) -> np.ndarray:
+    """Table over (readout bits..., detector a, detector b) from the readout branches."""
+    table = np.zeros((2,) * (atoms + 2))
+    for bits, p, cond in branches:
+        clicks = hbt_split_and_count(cond, "ph", config.detector_a, config.detector_b)
+        for (da, db), pc in clicks.items():
+            table[bits + (int(da), int(db))] += p * pc
+    return table
 
 
 def run_cascade(config: ExperimentConfig, mean_photon: float) -> JointDistribution:
     """Exact 16-outcome table over (s1, s2, detector a, detector b)."""
-    state = _propagate_cascade(config, mean_photon)
-    table = np.zeros((2, 2, 2, 2))
-    for s1, s2, p, cond in _readout_branches(state, config):
-        if p <= 0.0 or cond is None:
-            continue
-        clicks = hbt_split_and_count(cond, "ph", config.detector_a, config.detector_b)
-        for (da, db), pc in clicks.items():
-            table[int(s1), int(s2), int(da), int(db)] += p * pc
+    table = _click_table(_cascade_branches(config, mean_photon), config, 2)
     return JointDistribution(("s1", "s2", "da", "db"), table)
+
+
+def branch_photon_numbers(config: ExperimentConfig, mean_photon: float) -> np.ndarray:
+    """P[s1, s2, n]: joint probability of both readouts and n photons before the split.
+
+    Every estimator that needs only the atomic outcomes and the photon-number
+    populations (conditioned g2, no-light rates) reads this one table.
+    """
+    table = np.zeros((2, 2, config.fock_space().dim))
+    for bits, p, cond in _cascade_branches(config, mean_photon):
+        table[bits] = p * np.real(np.diagonal(cond.matrix))
+    return table
 
 
 def run_single(config: ExperimentConfig, node_index: int, mean_photon: float) -> JointDistribution:
@@ -273,54 +295,26 @@ def run_single(config: ExperimentConfig, node_index: int, mean_photon: float) ->
     state = dephase(state, "a", imp.protocol_window, imp.t_coherence)
     state = _pulse_area_rotation(state, "a", imp)
 
-    read = detect_state(state, "a", imp.readout_fidelity)
-    table = np.zeros((2, 2, 2))
-    for s in (False, True):
-        p = read.probability(s)
-        cond = read.conditional_or_none(s)
-        if p <= 0.0 or cond is None:
-            continue
-        clicks = hbt_split_and_count(cond, "ph", config.detector_a, config.detector_b)
-        for (da, db), pc in clicks.items():
-            table[int(s), int(da), int(db)] += p * pc
+    branches = _readout_branches(state, [("a", imp.readout_fidelity)])
+    table = _click_table(branches, config, 1)
     return JointDistribution(("s", "da", "db"), table)
 
 
 def conditioned_photon_state(
-    config: ExperimentConfig,
-    mean_photon: float,
-    predicate: Callable,
-    require_click: bool = False,
+    config: ExperimentConfig, mean_photon: float, predicate: Callable
 ) -> ModeState:
     """Photon state just before the 50:50 split, conditioned on atomic outcomes.
 
-    The predicate sees an object with boolean fields s1 and s2. With
-    require_click the state is additionally conditioned on at least one
-    absorbing detector firing afterwards (vacuum removal).
+    The predicate sees an object with boolean fields s1 and s2. The diagonal
+    of this state is the normalized sum of the kept rows of
+    branch_photon_numbers(), which the estimators read instead.
     """
-    state = _propagate_cascade(config, mean_photon)
-    space = config.fock_space()
-    total = 0.0
-    accum = np.zeros((space.dim, space.dim), dtype=complex)
-    click_w = either_click_weights(space.dim, config.detector_a, config.detector_b)
-    sqrt_w = np.sqrt(np.clip(click_w, 0.0, 1.0))
-    for s1, s2, p, cond in _readout_branches(state, config):
-        if p <= 0.0 or cond is None:
-            continue
-        if not predicate(Outcome(s1, s2, False, False)):
-            continue
-        mode = cond.mode_state("ph")
-        mat = mode.matrix
-        if require_click:
-            mat = sqrt_w[:, None] * mat * sqrt_w[None, :]
-            weight = float(np.real(np.trace(mat)))
-            if weight <= 0.0:
-                continue
-            accum += p * mat
-            total += p * weight
-        else:
-            accum += p * mat
-            total += p
+    kept = [
+        (p, cond.matrix)
+        for (s1, s2), p, cond in _cascade_branches(config, mean_photon)
+        if predicate(Outcome(bool(s1), bool(s2), False, False))
+    ]
+    total = sum(p for p, _ in kept)
     if total <= 0.0:
         raise ZeroProbabilityError("conditioning on a zero-probability atomic predicate")
-    return ModeState(space, accum / total)
+    return ModeState(config.fock_space(), sum(p * matrix for p, matrix in kept) / total)

@@ -29,7 +29,6 @@ from .node import (
     ReflectionPair,
     detect_state,
     dephase,
-    plus_x_state,
     prepare,
     reflect,
     reflection_coefficients,
@@ -181,10 +180,6 @@ def _attach_qubit(state: JointState, label: str, qubit_matrix: np.ndarray) -> Jo
         (None,) + state.spaces,
         np.kron(qubit_matrix, state.matrix),
     )
-
-
-def _attach_plus_x(state: JointState, label: str) -> JointState:
-    return _attach_qubit(state, label, plus_x_state())
 
 
 def run_sorter(config: SorterConfig) -> list[SorterResult]:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from qndsim.config import default_config, ideal_config
+from qndsim.config import build_config, config_values, default_config, ideal_config
 from qndsim.fock import FockSpace, JointState, ModeState
 
 
@@ -31,3 +32,27 @@ def random_qubit_mode_state(rng: np.random.Generator, n_max: int) -> JointState:
     return JointState(
         ("q", "m"), ("q", "m"), (None, FockSpace(n_max)), random_density_matrix(rng, dim)
     )
+
+
+_fidelity = st.floats(0.85, 1.0)
+_detuning = st.floats(-1.5, 1.5)
+
+
+@st.composite
+def random_configs(draw):
+    """Valid configs around the default, with one sweep point and either input kind."""
+    values = config_values(default_config())
+    for name in ("node1", "node2"):
+        values[f"{name}.reflection_contrast"] = draw(st.floats(0.3, 1.0))
+        values[f"{name}.prep_fidelity"] = draw(_fidelity)
+        values[f"{name}.readout_fidelity"] = draw(_fidelity)
+        values[f"{name}.delta_c"] = draw(_detuning)
+        values[f"{name}.delta_a"] = draw(_detuning)
+    values["channel.transmission"] = draw(st.floats(0.2, 1.0))
+    values["channel.depolarization"] = draw(st.floats(0.0, 0.1))
+    values["channel.birefringence_residual"] = draw(st.floats(0.0, 0.05))
+    values["detection.efficiency"] = draw(st.floats(0.3, 1.0))
+    values["input.kind"] = draw(st.sampled_from(("coherent", "fock")))
+    values["input.fock_n"] = 1
+    values["sweep.mu"] = (draw(st.floats(0.05, 1.0)),)
+    return build_config(values)

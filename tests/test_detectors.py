@@ -6,7 +6,6 @@ import pytest
 from qndsim.detectors import (
     DetectorParams,
     click_povm,
-    either_click_weights,
     hbt_split_and_count,
     no_click_weights,
 )
@@ -122,19 +121,6 @@ class TestHbt:
         st = coherent_state(mu, FockSpace.for_mean_photon(mu)).to_joint("m")
         dist = hbt_split_and_count(st, "m", SNSPD, SNSPD)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_either_click_weights_match_split_and_count():
-    mu = 0.5
-    space = FockSpace.for_mean_photon(mu)
-    st = coherent_state(mu, space).to_joint("m")
-    det_a = DetectorParams(0.9, 40.0, 2.0)
-    det_b = DetectorParams(0.8, 20.0, 2.0)
-    dist = hbt_split_and_count(st, "m", det_a, det_b)
-    p_either = 1.0 - dist[(False, False)]
-    weights = either_click_weights(space.dim, det_a, det_b)
-    pops = st.mode_state("m").number_distribution()
-    assert float(np.sum(weights * pops)) == pytest.approx(p_either, abs=1e-10)
 
 
 def test_no_click_weights_form():

@@ -6,10 +6,9 @@ import pytest
 
 from conftest import random_mode_state
 from qndsim.config import ideal_config
-from qndsim.errors import ZeroProbabilityError
 from qndsim.estimators import (
     CELLS,
-    g2_from_state,
+    g2_from_numbers,
     g2_table,
     snr,
     sweep_estimates,
@@ -99,27 +98,31 @@ class TestSnr:
 
 
 class TestG2FromState:
+    """g2(0) of single-mode states, read from their photon-number weights."""
+
     def test_coherent_is_one(self):
         mu = 0.7
         st = coherent_state(mu, FockSpace(FockSpace.for_mean_photon(mu).n_max + 4))
-        assert g2_from_state(st) == pytest.approx(1.0, abs=1e-9)
+        assert g2_from_numbers(st.number_distribution()) == pytest.approx(1.0, abs=1e-9)
 
     def test_fock_values(self):
-        assert g2_from_state(fock_state(1, FockSpace(3))) == 0.0
-        assert g2_from_state(fock_state(2, FockSpace(3))) == pytest.approx(0.5, abs=1e-12)
+        assert g2_from_numbers(fock_state(1, FockSpace(3)).number_distribution()) == 0.0
+        two = fock_state(2, FockSpace(3)).number_distribution()
+        assert g2_from_numbers(two) == pytest.approx(0.5, abs=1e-12)
+        # unnormalized weights give the same value
+        assert g2_from_numbers(0.3 * two) == pytest.approx(0.5, abs=1e-12)
 
     def test_vacuum_undefined(self):
-        with pytest.raises(ZeroProbabilityError):
-            g2_from_state(fock_state(0, FockSpace(2)))
+        assert g2_from_numbers(fock_state(0, FockSpace(2)).number_distribution()) is None
+        assert g2_from_numbers(np.zeros(3)) is None
 
     def test_invariant_under_loss(self):
         rng = np.random.default_rng(77)
         for _ in range(5):
             st = random_mode_state(rng, 6)
-            before = g2_from_state(st)
-            after = g2_from_state(
-                loss_channel(st.to_joint("m"), "m", 0.37).mode_state("m")
-            )
+            before = g2_from_numbers(st.number_distribution())
+            lossy = loss_channel(st.to_joint("m"), "m", 0.37).mode_state("m")
+            after = g2_from_numbers(lossy.number_distribution())
             assert after == pytest.approx(before, abs=1e-9)
 
 

@@ -4,9 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qndsim.config import build_config, config_values, default_config
+from conftest import random_configs
 from qndsim.estimators import CELLS, cells_from_distribution, quiet_detectors
 from qndsim.montecarlo import _simulate_arrays, estimate, g2_estimate
 from qndsim.protocol import run_cascade
@@ -63,30 +62,6 @@ class TestSimulateArrays:
         assert sigma_deviation(
             exact["p_up1_given_click"], p1c, math.sqrt(p1c * (1 - p1c) / n_c)
         ) < 4
-
-
-_fidelity = st.floats(0.85, 1.0)
-_detuning = st.floats(-1.5, 1.5)
-
-
-@st.composite
-def random_configs(draw):
-    """Valid configs around the default, with one sweep point and either input kind."""
-    values = config_values(default_config())
-    for name in ("node1", "node2"):
-        values[f"{name}.reflection_contrast"] = draw(st.floats(0.3, 1.0))
-        values[f"{name}.prep_fidelity"] = draw(_fidelity)
-        values[f"{name}.readout_fidelity"] = draw(_fidelity)
-        values[f"{name}.delta_c"] = draw(_detuning)
-        values[f"{name}.delta_a"] = draw(_detuning)
-    values["channel.transmission"] = draw(st.floats(0.2, 1.0))
-    values["channel.depolarization"] = draw(st.floats(0.0, 0.1))
-    values["channel.birefringence_residual"] = draw(st.floats(0.0, 0.05))
-    values["detection.efficiency"] = draw(st.floats(0.3, 1.0))
-    values["input.kind"] = draw(st.sampled_from(("coherent", "fock")))
-    values["input.fock_n"] = 1
-    values["sweep.mu"] = (draw(st.floats(0.05, 1.0)),)
-    return build_config(values)
 
 
 class TestEnginesAgreeOnRandomConfigs:

@@ -3,14 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import random_configs
 from qndsim.channel import ChannelParams
 from qndsim.config import ideal_config
 from qndsim.errors import ConfigError, ZeroProbabilityError
-from qndsim.estimators import g2_from_state
+from qndsim.estimators import G2_CONDITIONS, g2_from_numbers, g2_table
 from qndsim.protocol import (
     JointDistribution,
-    condition,
+    branch_photon_numbers,
     conditioned_photon_state,
     run_cascade,
     run_single,
@@ -42,7 +44,7 @@ class TestRunCascadeIdeal:
 class TestRunCascadePaper:
     def test_conditional_detection_anchor(self, base_config):
         dist = run_cascade(base_config, 0.084)
-        cond, _ = condition(dist, click)
+        cond, _ = dist.condition(click)
         p = cond.prob(lambda o: o.s1)
         assert 0.76 <= p <= 0.86  # brackets the 81.3% reference point
 
@@ -78,7 +80,7 @@ class TestRunCascadePaper:
         cfg = replace(base_config, channel=ChannelParams(0.53, 1.0, 0.0))
         dist = run_cascade(cfg, 0.2)
         p1 = dist.prob(lambda o: o.s1)
-        cond, _ = condition(dist, lambda o: o.s2)
+        cond, _ = dist.condition(lambda o: o.s2)
         assert cond.prob(lambda o: o.s1) == pytest.approx(p1, abs=1e-9)
 
 
@@ -97,7 +99,7 @@ class TestRunSingle:
 
     def test_node2_conditional_anchor(self, base_config):
         dist = run_single(base_config, 2, 0.056)
-        cond, _ = condition(dist, click)
+        cond, _ = dist.condition(click)
         assert cond.prob(lambda o: o.s) == pytest.approx(0.87, abs=0.05)
 
     def test_invalid_index(self, base_config):
@@ -108,7 +110,7 @@ class TestRunSingle:
 class TestCondition:
     def test_trivial_predicate_is_identity(self, base_config):
         dist = run_cascade(base_config, 0.084)
-        cond, p = condition(dist, lambda o: True)
+        cond, p = dist.condition(lambda o: True)
         assert p == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(cond.table, dist.table, atol=1e-15)
 
@@ -125,7 +127,7 @@ class TestCondition:
 
     def test_correlation_threshold_near_mu_02(self, base_config):
         dist = run_cascade(base_config, 0.2)
-        cond, _ = condition(dist, lambda o: o.s2)
+        cond, _ = dist.condition(lambda o: o.s2)
         assert cond.prob(lambda o: o.s1) > 0.5
 
     def test_zero_probability_predicate_raises(self, perfect_config):
@@ -136,25 +138,26 @@ class TestCondition:
         )
         dist = run_cascade(cfg, 0.0)
         with pytest.raises(ZeroProbabilityError):
-            condition(dist, click)
+            dist.condition(click)
 
     def test_conditional_renormalized(self, base_config):
         dist = run_cascade(base_config, 0.45)
-        cond, p = condition(dist, click)
+        cond, p = dist.condition(click)
         assert 0 < p < 1
         assert cond.table.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestConditionedPhotonState:
+    """Photon-number populations before the split, resolved by readout branch."""
+
     def test_ideal_parity_projection(self):
         cfg = ideal_config(sweep=(0.45,))
-        state = conditioned_photon_state(cfg, 0.45, lambda o: o.s1)
-        pops = state.number_distribution()
-        evens = pops[0::2]
-        assert float(np.max(evens)) < 1e-10
+        numbers = branch_photon_numbers(cfg, 0.45)
+        assert float(np.max(numbers[1, :, 0::2])) < 1e-10
 
     def test_trivial_predicate_returns_propagated_state(self, base_config):
-        state = conditioned_photon_state(base_config, 0.45, lambda o: True)
+        trivial = G2_CONDITIONS["none"]
+        numbers = branch_photon_numbers(base_config, 0.45)[trivial].sum(0)
         # unconditioned propagated pulse: mean photon number scaled by the
         # branch-weighted reflectivities and the line transmission; branch
         # weights follow the (over-rotated) first pulse
@@ -169,22 +172,51 @@ class TestConditionedPhotonState:
         pair2 = base_config.node2.pair()
         r2 = (1 - q) * mean_reflectivity(base_config.node2) + q * abs(pair2.r_uncoupled) ** 2
         expected = 0.45 * r1 * 0.53 * r2 * 0.5
-        assert state.mean_photon() == pytest.approx(expected, abs=1e-9)
+        assert numbers.sum() == pytest.approx(1.0, abs=1e-10)
+        assert float(np.arange(len(numbers)) @ numbers) == pytest.approx(expected, abs=1e-9)
 
     def test_heralded_state_g2_anchor(self, base_config):
-        state = conditioned_photon_state(base_config, 0.45, lambda o: o.s2)
-        assert 0.017 <= g2_from_state(state) <= 0.110
+        numbers = branch_photon_numbers(base_config, 0.45)
+        assert 0.017 <= g2_from_numbers(numbers[:, 1].sum(0)) <= 0.110
 
     def test_zero_probability_raises(self, perfect_config):
+        # Without light, ideal nodes never read up: the conditioned state is
+        # undefined and every g2 row is absent.
+        assert branch_photon_numbers(perfect_config, 0.0)[1].sum() == 0.0
         with pytest.raises(ZeroProbabilityError):
             conditioned_photon_state(perfect_config, 0.0, lambda o: o.s1)
+        for row in g2_table(perfect_config, 0.0):
+            assert row.g2_zero is None and row.g2_zero_stderr is None
 
-    def test_click_conditioning_removes_vacuum(self, base_config):
-        state = conditioned_photon_state(
-            base_config, 0.084, lambda o: True, require_click=True
-        )
-        unconditioned = conditioned_photon_state(base_config, 0.084, lambda o: True)
-        assert state.matrix[0, 0].real < unconditioned.matrix[0, 0].real
+    def test_full_state_diagonal_matches_branch_rows(self, base_config):
+        numbers = branch_photon_numbers(base_config, 0.45)
+        predicates = {
+            "none": lambda o: True,
+            "up1": lambda o: o.s1,
+            "up2": lambda o: o.s2,
+            "up1_and_up2": lambda o: o.s1 and o.s2,
+        }
+        for name, predicate in predicates.items():
+            weights = numbers[G2_CONDITIONS[name]].sum(0)
+            state = conditioned_photon_state(base_config, 0.45, predicate)
+            np.testing.assert_allclose(
+                state.number_distribution(), weights / weights.sum(), rtol=0, atol=1e-12
+            )
+
+    def _assert_branch_sums_match(self, config, mu):
+        numbers = branch_photon_numbers(config, mu)
+        clicks = run_cascade(config, mu).table
+        np.testing.assert_allclose(numbers.sum(-1), clicks.sum((2, 3)), rtol=0, atol=1e-12)
+
+    def test_branch_sums_match_run_cascade(self, base_config, perfect_config):
+        for config in (base_config, perfect_config):
+            for mu in (0.0, 0.084, 0.45, 3.11):
+                self._assert_branch_sums_match(config, mu)
+
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(config=random_configs())
+    def test_branch_sums_match_run_cascade_on_random_configs(self, config):
+        self._assert_branch_sums_match(config, config.mean_photon_sweep[0])
 
 
 class TestConfigValidation:
