@@ -1,7 +1,7 @@
 """Simulator of cascaded nondestructive single-photon detection with atom-cavity nodes."""
 
 from .channel import ChannelParams, detection_path, fiber_channel
-from .detectors import DetectorParams, ClickResult, click_povm, hbt_split_and_count
+from .detectors import DetectorParams, hbt_split_and_count
 from .errors import (
     ConfigError,
     QndsimError,
@@ -26,15 +26,10 @@ from .fock import (
     ModeState,
     beam_splitter,
     coherent_state,
-    conditional_phase,
     fock_state,
     loss_channel,
     moments,
-    parity_probabilities,
     partial_trace,
-    phase_shift,
-    thermal_state,
-    vacuum_state,
 )
 from .node import (
     AtomReadout,

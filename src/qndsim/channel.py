@@ -50,6 +50,11 @@ def fiber_channel(state: JointState, mode: str, params: ChannelParams) -> JointS
     1 - (p + eps)). The accompanying decoupling of the downstream node is a
     collective per-pulse effect and lives in the protocol engine, keyed off
     scramble_probability.
+
+    The flip never changes a cascade output: the later channels keep the
+    photon-number difference of every coherence and all measurements are
+    number-diagonal, so only populations are read. It is visible only in a
+    full output state, the number sorter's SorterResult.state.
     """
     out = loss_channel(state, mode, params.transmission)
     q = params.scramble_probability

@@ -8,6 +8,8 @@ characterization values of the modeled two-node experiment.
 
 from __future__ import annotations
 
+import math
+
 from .channel import ChannelParams
 from .detectors import DetectorParams
 from .errors import ConfigError
@@ -56,6 +58,10 @@ _SCHEMA.update(
         "run.seed": ("int", None, None),
     }
 )
+
+# Keys whose value may be +inf: an infinite coherence time means no dephasing.
+# Every other number must be finite, and NaN is rejected everywhere.
+_INFINITY_ALLOWED = frozenset(f"{n}.t_coherence" for n in ("node1", "node2"))
 
 _DEFAULTS: dict[str, object] = {
     "node1.g": 7.6,
@@ -119,6 +125,8 @@ def _parse_value(key: str, raw: str, line_no: int) -> object:
     items = value if kind == "float_list" else (value,)
     if kind in ("float", "int", "float_list"):
         for item in items:
+            if math.isnan(item) or (math.isinf(item) and key not in _INFINITY_ALLOWED):
+                raise ConfigError(f"line {line_no}: {key} = {item} is not a finite number")
             if lo is not None and item < lo:
                 raise ConfigError(f"line {line_no}: {key} = {item} below minimum {lo}")
             if hi is not None and item > hi:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ZeroProbabilityError
+from .errors import ConfigError
 from .fock import JointState, beam_splitter, measure_diagonal
 
 
@@ -34,35 +34,6 @@ def no_click_weights(dim: int, params: DetectorParams) -> np.ndarray:
     """Diagonal POVM element for 'no click': (1 - p_dark) (1 - eta)^n."""
     n = np.arange(dim)
     return (1.0 - params.p_dark) * (1.0 - params.efficiency) ** n
-
-
-@dataclass(frozen=True)
-class ClickResult:
-    p_click: float
-    p_no_click: float
-    _state_click: JointState | None
-    _state_no_click: JointState | None
-
-    def probability(self, click: bool) -> float:
-        return self.p_click if click else self.p_no_click
-
-    def conditional(self, click: bool) -> JointState:
-        state = self._state_click if click else self._state_no_click
-        if state is None:
-            outcome = "click" if click else "no click"
-            raise ZeroProbabilityError(
-                f"conditioning on the zero-probability detector outcome {outcome!r}"
-            )
-        return state
-
-
-def click_povm(state: JointState, mode: str, params: DetectorParams) -> ClickResult:
-    """Threshold detection of the labeled mode; the mode is consumed."""
-    dim = state.dims[state.position(mode)]
-    w_no = no_click_weights(dim, params)
-    p_no, state_no = measure_diagonal(state, mode, w_no)
-    p_cl, state_cl = measure_diagonal(state, mode, 1.0 - w_no)
-    return ClickResult(p_cl, p_no, state_cl, state_no)
 
 
 def hbt_split_and_count(

@@ -30,19 +30,20 @@ CELLS = (
     "p_up2_given_up1_and_click",
 )
 
-_click = lambda o: o.da or o.db
+_click = lambda o: o.da | o.db
 
+# cell -> (event, conditioning event or None), written with | and & so that the
+# same predicates evaluate one exact Outcome or arrays of Monte Carlo trials.
 CELL_PREDICATES: dict[str, tuple[Callable, Callable | None]] = {
-    # cell -> (event, conditioning event or None)
     "p_up1": (lambda o: o.s1, None),
     "p_up2": (lambda o: o.s2, None),
     "p_up1_given_up2": (lambda o: o.s1, lambda o: o.s2),
     "p_up2_given_up1": (lambda o: o.s2, lambda o: o.s1),
     "p_up1_given_click": (lambda o: o.s1, _click),
     "p_up2_given_click": (lambda o: o.s2, _click),
-    "p_or_given_click": (lambda o: o.s1 or o.s2, _click),
-    "p_and_given_click": (lambda o: o.s1 and o.s2, _click),
-    "p_up2_given_up1_and_click": (lambda o: o.s2, lambda o: o.s1 and (o.da or o.db)),
+    "p_or_given_click": (lambda o: o.s1 | o.s2, _click),
+    "p_and_given_click": (lambda o: o.s1 & o.s2, _click),
+    "p_up2_given_up1_and_click": (lambda o: o.s2, lambda o: o.s1 & _click(o)),
 }
 
 

@@ -166,30 +166,6 @@ def fock_state(n: int, space: FockSpace) -> ModeState:
     return ModeState(space, mat)
 
 
-def vacuum_state(space: FockSpace) -> ModeState:
-    return fock_state(0, space)
-
-
-def thermal_state(mean_occupancy: float, space: FockSpace) -> ModeState:
-    """Truncated, renormalized thermal state of the given mean occupancy."""
-    if mean_occupancy < 0:
-        raise ValueError("mean occupancy must be >= 0")
-    if mean_occupancy == 0.0:
-        return vacuum_state(space)
-    n = np.arange(space.dim)
-    p = np.exp(n * math.log(mean_occupancy / (1.0 + mean_occupancy)))
-    p /= p.sum()
-    return ModeState(space, np.diag(p.astype(complex)))
-
-
-def parity_probabilities(state: ModeState) -> tuple[float, float]:
-    """(p_even, p_odd) of the photon number."""
-    pops = state.number_distribution()
-    p_odd = float(pops[1::2].sum())
-    p_even = float(pops[0::2].sum())
-    return p_even, p_odd
-
-
 @dataclass(frozen=True)
 class JointState:
     """Density operator on an ordered collection of qubits and truncated modes.
@@ -267,9 +243,6 @@ class JointState:
     def mode_state(self, label: str) -> ModeState:
         reduced = partial_trace(self, [label])
         return ModeState(reduced.spaces[0], reduced.matrix)
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def _replace_matrix(self, matrix: np.ndarray) -> "JointState":
         return JointState(self.labels, self.kinds, self.spaces, matrix)
@@ -349,39 +322,21 @@ def _beam_splitter_unitary(dim_a: int, dim_b: int, transmissivity: float, phase:
 
 
 @lru_cache(maxsize=None)
-def _loss_kraus(dim: int, transmissivity: float) -> tuple[np.ndarray, ...]:
-    """Kraus operators of the pure-loss channel (beam splitter on vacuum, traced)."""
-    ops = []
-    for k in range(dim):
-        kop = np.zeros((dim, dim), dtype=complex)
-        for n in range(k, dim):
-            kop[n - k, n] = math.sqrt(
-                math.comb(n, k)
-                * transmissivity ** (n - k)
-                * (1.0 - transmissivity) ** k
-            )
-        if np.any(kop):
-            ops.append(kop)
-    return tuple(ops)
+def _reflection_kraus(dim: int, amplitude: complex) -> np.ndarray:
+    """Loss at |r|^2 composed with a per-photon phase arg(r), as one stacked Kraus family.
 
-
-@lru_cache(maxsize=None)
-def _reflection_kraus(dim: int, amplitude: complex) -> tuple[np.ndarray, ...]:
-    """Loss at |r|^2 composed with a per-photon phase arg(r), as one Kraus family.
-
-    The k-th operator is the k-photons-lost branch; zero operators are kept so
-    that two families (e.g. the two atomic branches of a reflection) stay
-    aligned on the shared loss ancilla index.
+    Operator k (the first axis) is the k-photons-lost branch. Zero operators
+    are kept so that two families (e.g. the two atomic branches of a
+    reflection) stay aligned on the shared loss ancilla index. The cached
+    array is read-only.
     """
     mag2 = abs(amplitude) ** 2
     s = math.sqrt(max(0.0, 1.0 - mag2))
-    ops = []
+    kraus = np.zeros((dim, dim, dim), dtype=complex)
     for k in range(dim):
-        kop = np.zeros((dim, dim), dtype=complex)
         for n in range(k, dim):
-            kop[n - k, n] = math.sqrt(math.comb(n, k)) * amplitude ** (n - k) * s**k
-        ops.append(kop)
-    return tuple(ops)
+            kraus[k, n - k, n] = math.sqrt(math.comb(n, k)) * amplitude ** (n - k) * s**k
+    return _freeze(kraus)
 
 
 def beam_splitter(
@@ -410,43 +365,9 @@ def loss_channel(state: JointState, mode: str, transmissivity: float) -> JointSt
         raise SubsystemError(f"{mode!r} is not a mode")
     if transmissivity == 1.0:
         return state
-    kraus = _loss_kraus(state.dims[pos], float(transmissivity))
-    return apply_channel(state, kraus, [mode])
-
-
-def phase_shift(state: JointState, mode: str, theta: float) -> JointState:
-    """Per-photon phase exp(i theta n) on a mode."""
-    pos = state.position(mode)
-    u = np.diag(np.exp(1j * theta * np.arange(state.dims[pos])))
-    return apply_channel(state, [u], [mode])
-
-
-def conditional_phase(
-    state: JointState,
-    qubit: str,
-    mode: str,
-    theta_per_photon: float,
-    on_branch: str = "down",
-) -> JointState:
-    """exp(i theta n) on the mode, restricted to one z branch of the qubit."""
-    pq = state.position(qubit)
-    if state.kinds[pq] != "q":
-        raise SubsystemError(f"{qubit!r} is not a qubit")
-    pm = state.position(mode)
-    if state.kinds[pm] != "m":
-        raise SubsystemError(f"{mode!r} is not a mode")
-    if on_branch not in ("up", "down"):
-        raise ValueError(f"on_branch must be 'up' or 'down', got {on_branch!r}")
-    dim = state.dims[pm]
-    ph = np.diag(np.exp(1j * theta_per_photon * np.arange(dim)))
-    eye = np.eye(dim)
-    p_up = np.diag([1.0, 0.0]).astype(complex)
-    p_dn = np.diag([0.0, 1.0]).astype(complex)
-    if on_branch == "up":
-        u = np.kron(p_up, ph) + np.kron(p_dn, eye)
-    else:
-        u = np.kron(p_up, eye) + np.kron(p_dn, ph)
-    return apply_channel(state, [u], [qubit, mode])
+    # A reflection of real amplitude sqrt(T); operators that vanish are dropped.
+    kraus = _reflection_kraus(state.dims[pos], complex(math.sqrt(transmissivity)))
+    return apply_channel(state, kraus[kraus.any(axis=(1, 2))], [mode])
 
 
 def moments(state: JointState, mode: str) -> tuple[float, float]:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import CELLS, G2_CONDITIONS, G2Row
+from .estimators import CELL_PREDICATES, CELLS, G2_CONDITIONS, G2Row
 from .node import rotation_matrix
-from .protocol import ExperimentConfig
+from .protocol import ExperimentConfig, Outcome
 
 HALF_PI = math.pi / 2.0
 
@@ -260,25 +260,15 @@ def estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> McEst
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     arrays = _simulate_arrays(config, mean_photon, trials)
-    s1, s2 = arrays["s1"], arrays["s2"]
-    click = arrays["click_a"] | arrays["click_b"]
-    events: dict[str, tuple[np.ndarray, np.ndarray | None]] = {
-        "p_up1": (s1, None),
-        "p_up2": (s2, None),
-        "p_up1_given_up2": (s1, s2),
-        "p_up2_given_up1": (s2, s1),
-        "p_up1_given_click": (s1, click),
-        "p_up2_given_click": (s2, click),
-        "p_or_given_click": (s1 | s2, click),
-        "p_and_given_click": (s1 & s2, click),
-        "p_up2_given_up1_and_click": (s2, s1 & click),
-    }
+    trial = Outcome(arrays["s1"], arrays["s2"], arrays["click_a"], arrays["click_b"])
     values: dict[str, float | None] = {}
     stderrs: dict[str, float | None] = {}
     counts: dict[str, int] = {}
     for cell in CELLS:
-        event, given = events[cell]
-        values[cell], stderrs[cell], counts[cell] = _cell_estimate(event, given)
+        event, given = CELL_PREDICATES[cell]
+        values[cell], stderrs[cell], counts[cell] = _cell_estimate(
+            event(trial), None if given is None else given(trial)
+        )
     return McEstimate(mean_photon, trials, values, stderrs, counts)
 
 

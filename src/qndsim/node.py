@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ZeroProbabilityError
-from .fock import JointState, apply_channel, measure_diagonal, _reflection_kraus
+from .fock import JointState, apply_channel, measure_diagonal, _freeze, _reflection_kraus
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,6 @@ class CqedParams:
     @property
     def out_coupling(self) -> float:
         return self.kappa if self.kappa_r is None else self.kappa_r
-
-    @property
-    def cooperativity(self) -> float:
-        return self.g**2 / (2.0 * self.kappa * self.gamma)
 
 
 @dataclass(frozen=True)
@@ -159,20 +155,26 @@ def reflect(
     pq, pm = state.position(qubit), state.position(mode)
     if state.kinds[pq] != "q" or state.kinds[pm] != "m":
         raise ConfigError(f"reflect needs a qubit and a mode, got {qubit!r}, {mode!r}")
-    dim = state.dims[pm]
-    b_c = _reflection_kraus(dim, complex(pair.r_coupled))
-    b_u = _reflection_kraus(dim, complex(pair.r_uncoupled))
-    p_up = np.diag([1.0, 0.0]).astype(complex)
-    p_dn = np.diag([0.0, 1.0]).astype(complex)
-    kraus = []
-    for kc, ku in zip(b_c, b_u):
-        k = np.kron(p_up, kc) + np.kron(p_dn, ku)
-        if np.any(k):
-            kraus.append(k)
+    kraus = _branch_reflection_kraus(
+        state.dims[pm], complex(pair.r_coupled), complex(pair.r_uncoupled)
+    )
     out = apply_channel(state, kraus, [qubit, mode])
     if contrast < 1.0:
         out = branch_distinguishability(out, qubit, mode, contrast)
     return out
+
+
+@lru_cache(maxsize=None)
+def _branch_reflection_kraus(dim: int, r_coupled: complex, r_uncoupled: complex) -> np.ndarray:
+    """Stacked family of reflect() on (qubit, mode): each branch's reflection, block by block.
+
+    The k-photons-lost operators of the two branches share one index, so the
+    loss ancilla is common; operators zero on both branches are dropped.
+    """
+    kraus = np.zeros((dim, 2 * dim, 2 * dim), dtype=complex)
+    kraus[:, :dim, :dim] = _reflection_kraus(dim, r_coupled)
+    kraus[:, dim:, dim:] = _reflection_kraus(dim, r_uncoupled)
+    return _freeze(kraus[kraus.any(axis=(1, 2))])
 
 
 def branch_distinguishability(
@@ -190,25 +192,27 @@ def branch_distinguishability(
         raise ConfigError(f"contrast must be in [0, 1], got {contrast}")
     if contrast == 1.0:
         return state
-    dim = state.dims[state.position(mode)]
+    kraus = _distinguishability_kraus(state.dims[state.position(mode)], float(contrast))
+    return apply_channel(state, kraus, [qubit, mode])
+
+
+@lru_cache(maxsize=None)
+def _distinguishability_kraus(dim: int, contrast: float) -> np.ndarray:
+    """Stacked family of branch_distinguishability() on (qubit, mode).
+
+    Operator j tags j of the up-branch photons with the orthogonal wavepacket
+    shape; the down branch passes through operator 0 unchanged.
+    """
     n = np.arange(dim)
-    p_up = np.diag([1.0, 0.0]).astype(complex)
-    p_dn = np.diag([0.0, 1.0]).astype(complex)
     ortho = 1.0 - contrast**2
-    kraus = []
-    for j in range(dim):  # j photons carry an orthogonal-shape tag
-        diag = np.zeros(dim)
-        valid = n >= j
-        nn = n[valid]
-        diag[valid] = np.sqrt(
+    kraus = np.zeros((dim, 2 * dim, 2 * dim), dtype=complex)
+    for j in range(dim):
+        nn = n[j:]
+        kraus[j, nn, nn] = np.sqrt(
             [math.comb(int(m), j) for m in nn]
         ) * contrast ** (nn - j) * ortho ** (j / 2.0)
-        k = np.kron(p_up, np.diag(diag).astype(complex))
-        if j == 0:
-            k = k + np.kron(p_dn, np.eye(dim, dtype=complex))
-        if np.any(k):
-            kraus.append(k)
-    return apply_channel(state, kraus, [qubit, mode])
+    kraus[0, dim:, dim:] = np.eye(dim)
+    return _freeze(kraus[kraus.any(axis=(1, 2))])
 
 
 @lru_cache(maxsize=None)
@@ -273,10 +277,6 @@ def prepare(fidelity: float) -> np.ndarray:
     if not 0.0 <= fidelity <= 1.0:
         raise ConfigError(f"preparation fidelity must be in [0, 1], got {fidelity}")
     return np.diag([fidelity, 1.0 - fidelity]).astype(complex)
-
-
-def plus_x_state() -> np.ndarray:
-    return np.full((2, 2), 0.5, dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,10 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1 in monte_carlo mode, got {self.trials}")
         self.fock_space()  # fail fast on truncation-infeasible sweeps
 
+    def node(self, index: int) -> NodeConfig:
+        """Node 1 (upstream of the fiber) or node 2 (downstream)."""
+        return self.node1 if index == 1 else self.node2
+
     def fock_space(self) -> FockSpace:
         """Cutoff adapted to the run's largest mean photon number (or Fock input)."""
         if self.input_kind == "fock":
@@ -155,18 +159,6 @@ class JointDistribution:
     def prob(self, predicate: Callable) -> float:
         return float(sum(p for o, p in self.outcomes() if predicate(o)))
 
-    def condition(self, predicate: Callable) -> tuple["JointDistribution", float]:
-        """Bayes renormalization onto outcomes satisfying the predicate."""
-        mask = np.zeros(self.table.shape)
-        otype = self._outcome_type()
-        for idx in np.ndindex(*self.table.shape):
-            if predicate(otype(*(bool(i) for i in idx))):
-                mask[idx] = 1.0
-        total = float((self.table * mask).sum())
-        if total <= 0.0:
-            raise ZeroProbabilityError("conditioning on a zero-probability predicate")
-        return JointDistribution(self.axes, self.table * mask / total), total
-
 
 def _pulse_area_rotation(state: JointState, qubit: str, imp: NodeImperfections) -> JointState:
     return rotate(state, qubit, "y", HALF_PI, imp.over_rotation())
@@ -190,27 +182,36 @@ def _downstream_reflection(
     return coupled._replace_matrix((1.0 - q) * coupled.matrix + q * decoupled.matrix)
 
 
-def _propagate_cascade(config: ExperimentConfig, mean_photon: float) -> JointState:
-    """Optical pipeline up to (and including) the final pi/2 pulses."""
+def _propagate_cascade(
+    config: ExperimentConfig, mean_photon: float, nodes: Sequence[int] = (1, 2)
+) -> JointState:
+    """Optical pipeline up to (and including) the final pi/2 pulses.
+
+    Node k's atom is the qubit "a<k>". Only the listed nodes take part; a
+    missing node acts as a unit-reflectivity mirror, so (1,) or (2,) is the
+    single-node characterization run and the fiber and detection losses stay
+    where they are.
+    """
     space = config.fock_space()
-    imp1, imp2 = config.node1.imperfections, config.node2.imperfections
+    atoms = [(f"a{k}", config.node(k)) for k in nodes]
     state = JointState.from_parts(
-        [
-            ("a1", prepare(imp1.prep_fidelity)),
-            ("a2", prepare(imp2.prep_fidelity)),
-            ("ph", config.input_state(mean_photon, space)),
-        ]
+        [(qubit, prepare(node.imperfections.prep_fidelity)) for qubit, node in atoms]
+        + [("ph", config.input_state(mean_photon, space))]
     )
-    state = _pulse_area_rotation(state, "a1", imp1)
-    state = _pulse_area_rotation(state, "a2", imp2)
-    state = reflect(state, "a1", "ph", config.node1.pair(), imp1.reflection_contrast)
+    for qubit, node in atoms:
+        state = _pulse_area_rotation(state, qubit, node.imperfections)
+    if 1 in nodes:
+        imp1 = config.node1.imperfections
+        state = reflect(state, "a1", "ph", config.node1.pair(), imp1.reflection_contrast)
     state = fiber_channel(state, "ph", config.channel)
-    state = _downstream_reflection(state, "a2", config.node2, config.channel)
+    if 2 in nodes:
+        state = _downstream_reflection(state, "a2", config.node2, config.channel)
     state = detection_path(state, "ph", config.detection_efficiency)
-    state = dephase(state, "a1", imp1.protocol_window, imp1.t_coherence)
-    state = dephase(state, "a2", imp2.protocol_window, imp2.t_coherence)
-    state = _pulse_area_rotation(state, "a1", imp1)
-    state = _pulse_area_rotation(state, "a2", imp2)
+    for qubit, node in atoms:
+        imp = node.imperfections
+        state = dephase(state, qubit, imp.protocol_window, imp.t_coherence)
+    for qubit, node in atoms:
+        state = _pulse_area_rotation(state, qubit, node.imperfections)
     return state
 
 
@@ -237,19 +238,21 @@ def _readout_branches(state: JointState, readouts: Sequence[tuple[str, float]]) 
     return branches
 
 
-def _cascade_branches(config: ExperimentConfig, mean_photon: float) -> list[_Branch]:
-    """Readout branches (s1, s2) of the propagated cascade; each keeps only the photon mode."""
-    readouts = [
-        ("a1", config.node1.imperfections.readout_fidelity),
-        ("a2", config.node2.imperfections.readout_fidelity),
-    ]
-    return _readout_branches(_propagate_cascade(config, mean_photon), readouts)
+def _node_branches(
+    config: ExperimentConfig, mean_photon: float, nodes: Sequence[int] = (1, 2)
+) -> list[_Branch]:
+    """Readout branches of the propagated run, one readout bit per listed node.
+
+    Each branch keeps only the photon mode.
+    """
+    readouts = [(f"a{k}", config.node(k).imperfections.readout_fidelity) for k in nodes]
+    return _readout_branches(_propagate_cascade(config, mean_photon, nodes), readouts)
 
 
-def _click_table(branches: list[_Branch], config: ExperimentConfig, atoms: int) -> np.ndarray:
-    """Table over (readout bits..., detector a, detector b) from the readout branches."""
-    table = np.zeros((2,) * (atoms + 2))
-    for bits, p, cond in branches:
+def _click_table(config: ExperimentConfig, mean_photon: float, nodes: Sequence[int]) -> np.ndarray:
+    """Table over (one readout bit per listed node..., detector a, detector b)."""
+    table = np.zeros((2,) * (len(nodes) + 2))
+    for bits, p, cond in _node_branches(config, mean_photon, nodes):
         clicks = hbt_split_and_count(cond, "ph", config.detector_a, config.detector_b)
         for (da, db), pc in clicks.items():
             table[bits + (int(da), int(db))] += p * pc
@@ -258,7 +261,7 @@ def _click_table(branches: list[_Branch], config: ExperimentConfig, atoms: int) 
 
 def run_cascade(config: ExperimentConfig, mean_photon: float) -> JointDistribution:
     """Exact 16-outcome table over (s1, s2, detector a, detector b)."""
-    table = _click_table(_cascade_branches(config, mean_photon), config, 2)
+    table = _click_table(config, mean_photon, (1, 2))
     return JointDistribution(("s1", "s2", "da", "db"), table)
 
 
@@ -269,7 +272,7 @@ def branch_photon_numbers(config: ExperimentConfig, mean_photon: float) -> np.nd
     populations (conditioned g2, no-light rates) reads this one table.
     """
     table = np.zeros((2, 2, config.fock_space().dim))
-    for bits, p, cond in _cascade_branches(config, mean_photon):
+    for bits, p, cond in _node_branches(config, mean_photon):
         table[bits] = p * np.real(np.diagonal(cond.matrix))
     return table
 
@@ -278,25 +281,7 @@ def run_single(config: ExperimentConfig, node_index: int, mean_photon: float) ->
     """Characterization run with the other node replaced by a unit-reflectivity mirror."""
     if node_index not in (1, 2):
         raise ConfigError(f"node_index must be 1 or 2, got {node_index}")
-    space = config.fock_space()
-    node = config.node1 if node_index == 1 else config.node2
-    imp = node.imperfections
-    state = JointState.from_parts(
-        [("a", prepare(imp.prep_fidelity)), ("ph", config.input_state(mean_photon, space))]
-    )
-    state = _pulse_area_rotation(state, "a", imp)
-    if node_index == 1:
-        state = reflect(state, "a", "ph", node.pair(), imp.reflection_contrast)
-        state = fiber_channel(state, "ph", config.channel)
-    else:
-        state = fiber_channel(state, "ph", config.channel)
-        state = _downstream_reflection(state, "a", node, config.channel)
-    state = detection_path(state, "ph", config.detection_efficiency)
-    state = dephase(state, "a", imp.protocol_window, imp.t_coherence)
-    state = _pulse_area_rotation(state, "a", imp)
-
-    branches = _readout_branches(state, [("a", imp.readout_fidelity)])
-    table = _click_table(branches, config, 1)
+    table = _click_table(config, mean_photon, (node_index,))
     return JointDistribution(("s", "da", "db"), table)
 
 
@@ -311,7 +296,7 @@ def conditioned_photon_state(
     """
     kept = [
         (p, cond.matrix)
-        for (s1, s2), p, cond in _cascade_branches(config, mean_photon)
+        for (s1, s2), p, cond in _node_branches(config, mean_photon)
         if predicate(Outcome(bool(s1), bool(s2), False, False))
     ]
     total = sum(p for p, _ in kept)

@@ -20,7 +20,6 @@ from .fock import (
     JointState,
     ModeState,
     coherent_state,
-    conditional_phase,
     fock_state,
 )
 from .node import (
@@ -109,6 +108,15 @@ class SorterConfig:
         """Per-photon phase of node j (1-based): pi / 2^(j-1)."""
         return math.pi / 2.0 ** (node_index - 1)
 
+    def gate_pair(self, node_index: int) -> ReflectionPair:
+        """Gate of node j, a reflection (|r_c|, |r_u| e^{i theta_j}); unit moduli when ideal."""
+        r_c, r_u = 1.0, 1.0
+        if not self.ideal:
+            params = self.node_params[node_index - 1]
+            r_c = abs(reflection_coefficients(params, coupled=True))
+            r_u = abs(reflection_coefficients(params, coupled=False))
+        return ReflectionPair(complex(r_c), complex(r_u * np.exp(1j * self.phase(node_index))))
+
     def space(self) -> FockSpace:
         if self.n_max is not None:
             return FockSpace(self.n_max)
@@ -149,15 +157,7 @@ def _sorter_node(
     state = _attach_qubit(state, qubit, prepare(imp.prep_fidelity))
     state = rotate(state, qubit, "y", HALF_PI, imp.over_rotation())
 
-    theta = config.phase(node_index)
-    if config.ideal:
-        state = conditional_phase(state, qubit, "ph", theta, on_branch="down")
-    else:
-        params = config.node_params[node_index - 1]
-        r_c = abs(reflection_coefficients(params, coupled=True))
-        r_u = abs(reflection_coefficients(params, coupled=False)) * np.exp(1j * theta)
-        state = reflect(state, qubit, "ph", ReflectionPair(complex(r_c), complex(r_u)))
-
+    state = reflect(state, qubit, "ph", config.gate_pair(node_index))
     basis = feed_forward_basis(prior_bits, config.k)
     state = dephase(state, qubit, imp.protocol_window, imp.t_coherence)
     state = rotate(state, qubit, basis.azimuth, basis.angle, imp.over_rotation())

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from qndsim.config import build_config, config_values, default_config, ideal_config
-from qndsim.fock import FockSpace, JointState, ModeState
+from qndsim.detectors import DetectorParams, no_click_weights
+from qndsim.fock import FockSpace, JointState, ModeState, measure_diagonal
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +35,32 @@ def random_qubit_mode_state(rng: np.random.Generator, n_max: int) -> JointState:
     return JointState(
         ("q", "m"), ("q", "m"), (None, FockSpace(n_max)), random_density_matrix(rng, dim)
     )
+
+
+def thermal_state(mean_occupancy: float, space: FockSpace) -> ModeState:
+    """Truncated, renormalized thermal state of the given mean occupancy."""
+    n = np.arange(space.dim)
+    p = np.exp(n * math.log(mean_occupancy / (1.0 + mean_occupancy)))
+    return ModeState(space, np.diag(p / p.sum()).astype(complex))
+
+
+def click_probability(state: JointState, mode: str, params: DetectorParams) -> float:
+    """P(click) of one threshold detector on the labeled mode: POVM element 1 - no-click."""
+    w_no_click = no_click_weights(state.space(mode).dim, params)
+    return measure_diagonal(state, mode, 1.0 - w_no_click)[0]
+
+
+def parity_probabilities(state: ModeState) -> tuple[float, float]:
+    """(p_even, p_odd) of the photon number, measured as a diagonal POVM."""
+    odd = np.arange(state.space.dim) % 2
+    p_odd, _ = measure_diagonal(state.to_joint("m"), "m", odd)
+    p_even, _ = measure_diagonal(state.to_joint("m"), "m", 1 - odd)
+    return p_even, p_odd
+
+
+def conditional(dist, event, given) -> float:
+    """P(event | given) on an exact joint distribution."""
+    return dist.prob(lambda o: event(o) and given(o)) / dist.prob(given)
 
 
 _fidelity = st.floats(0.85, 1.0)

@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_qubit_mode_state
+from conftest import click_probability, random_qubit_mode_state
 from qndsim.channel import ChannelParams, detection_path, fiber_channel
 from qndsim.config import default_config, ideal_config
-from qndsim.detectors import DetectorParams, click_povm
+from qndsim.detectors import DetectorParams
 from qndsim.errors import ConfigError
 from qndsim.fock import FockSpace, coherent_state, loss_channel, moments
 from qndsim.protocol import run_cascade
@@ -97,8 +97,8 @@ class TestDetectionPath:
 
         st = fock_state(1, FockSpace(2)).to_joint("m")
         out = detection_path(st, "m", 0.5)
-        result = click_povm(out, "m", DetectorParams(1.0, 0.0, 2.0))
-        assert result.p_click == pytest.approx(0.5, abs=1e-12)
+        p_click = click_probability(out, "m", DetectorParams(1.0, 0.0, 2.0))
+        assert p_click == pytest.approx(0.5, abs=1e-12)
 
     def test_composition_with_fiber(self):
         mu = 0.3
@@ -116,6 +116,6 @@ class TestDetectionPath:
             st = fiber_channel(
                 coherent_state(mu, space).to_joint("m"), "m", ChannelParams(t, 0.01, 0.005)
             )
-            p_click = click_povm(st, "m", det).p_click
+            p_click = click_probability(st, "m", det)
             assert p_click >= previous - 1e-12
             previous = p_click

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -55,6 +56,34 @@ class TestParseConfig:
 
     def test_round_trip_defaults(self):
         config = default_config()
+        assert parse_config_text(serialize_config(config)) == config
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "node1.g = nan",
+            "sweep.mu = nan",
+            "sweep.mu = 0.1, inf",
+            "node1.kappa = inf",
+            "node2.delta_c = -inf",
+            "detector_a.dark_rate = nan",
+            "detector_b.gate_window = inf",
+            "node1.t_coherence = nan",
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, line):
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigError, match=f"line 2: {key} = .* not a finite number"):
+            parse_config_text(f"# comment\n{line}\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        assert main(["table1", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_infinite_coherence_time_accepted(self):
+        # an infinite coherence time means no dephasing, as in NodeImperfections
+        config = parse_config_text("node1.t_coherence = inf\nnode2.t_coherence = inf\n")
+        assert config.node1.imperfections.t_coherence == math.inf
+        assert config.node2.imperfections.visibility() == 1.0
         assert parse_config_text(serialize_config(config)) == config
 
 

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, random_mode_state, random_qubit_mode_state
-from qndsim.errors import SubsystemError, TruncationError
+from conftest import (
+    parity_probabilities,
+    random_density_matrix,
+    random_mode_state,
+    random_qubit_mode_state,
+    thermal_state,
+)
+from qndsim.errors import ConfigError, SubsystemError, TruncationError
 from qndsim.fock import (
     N_MAX_CAP,
     TRUNCATION_TAIL_TOL,
@@ -13,21 +19,19 @@ from qndsim.fock import (
     ModeState,
     beam_splitter,
     coherent_state,
-    conditional_phase,
     fock_state,
     loss_channel,
     moments,
-    parity_probabilities,
     partial_trace,
-    phase_shift,
-    thermal_state,
-    vacuum_state,
     _annihilation,
     _apply_channel,
     _beam_splitter_unitary,
     _poisson_sf,
 )
-from qndsim.node import plus_x_state
+from qndsim.node import ReflectionPair, reflect
+
+
+PLUS_X = np.full((2, 2), 0.5, dtype=complex)
 
 
 def padded_space(mu: float, extra: int = 4) -> FockSpace:
@@ -77,7 +81,7 @@ class TestCoherentState:
 
 class TestParity:
     def test_vacuum(self):
-        even, odd = parity_probabilities(vacuum_state(FockSpace(3)))
+        even, odd = parity_probabilities(fock_state(0, FockSpace(3)))
         assert even == pytest.approx(1.0, abs=1e-15)
         assert odd == pytest.approx(0.0, abs=1e-15)
 
@@ -186,24 +190,29 @@ class TestLossChannel:
 
 
 class TestConditionalPhase:
+    """The sorter's gate: a reflection with unit moduli and phase theta on the down branch."""
+
     def _atom_photon(self, n, n_max=3):
-        return JointState.from_parts([("q", plus_x_state()), ("m", fock_state(n, FockSpace(n_max)))])
+        return JointState.from_parts([("q", PLUS_X), ("m", fock_state(n, FockSpace(n_max)))])
+
+    def _gate(self, state, theta):
+        return reflect(state, "q", "m", ReflectionPair(1.0, complex(np.exp(1j * theta))))
 
     def test_zero_angle_identity(self):
         st = self._atom_photon(1)
-        out = conditional_phase(st, "q", "m", 0.0)
+        out = self._gate(st, 0.0)
         assert np.allclose(out.matrix, st.matrix, atol=1e-15)
 
     def test_pi_flips_superposition(self):
         st = self._atom_photon(1)
-        out = conditional_phase(st, "q", "m", math.pi)
+        out = self._gate(st, math.pi)
         atom = partial_trace(out, ["q"]).matrix
         minus_x = np.array([[0.5, -0.5], [-0.5, 0.5]])
         assert np.max(np.abs(atom - minus_x)) < 1e-12
 
     def test_half_pi_on_two_photons(self):
         st = self._atom_photon(2)
-        out = conditional_phase(st, "q", "m", math.pi / 2)
+        out = self._gate(st, math.pi / 2)
         # down-branch amplitude acquires exp(i pi) = -1 relative to up
         idx_up = 2  # (up, n=2) in row-major (qubit, mode) indexing
         idx_dn = 4 + 2
@@ -212,13 +221,13 @@ class TestConditionalPhase:
 
     def test_invalid_labels(self):
         st = self._atom_photon(1)
-        with pytest.raises(SubsystemError):
-            conditional_phase(st, "m", "q", 1.0)
+        with pytest.raises(ConfigError):
+            reflect(st, "m", "q", ReflectionPair(1.0, -1.0))
 
 
 class TestMoments:
     def test_vacuum(self):
-        st = vacuum_state(FockSpace(3)).to_joint("m")
+        st = fock_state(0, FockSpace(3)).to_joint("m")
         assert moments(st, "m") == (0.0, 0.0)
 
     def test_fock2(self):
@@ -285,9 +294,11 @@ def test_thermal_state_mean():
 
 
 def test_phase_shift_preserves_populations():
+    # a per-photon phase on both branches: a reflection of unit modulus
     rng = np.random.default_rng(8)
-    st = random_mode_state(rng, 4).to_joint("m")
-    out = phase_shift(st, "m", 1.234)
+    st = random_qubit_mode_state(rng, 4)
+    phase = complex(np.exp(1.234j))
+    out = reflect(st, "q", "m", ReflectionPair(phase, phase))
     assert np.allclose(np.diag(out.matrix), np.diag(st.matrix), atol=1e-14)
 
 

@@ -5,7 +5,15 @@ import pytest
 
 from conftest import random_qubit_mode_state
 from qndsim.errors import ConfigError, ZeroProbabilityError
-from qndsim.fock import FockSpace, JointState, coherent_state, fock_state, moments, partial_trace
+from qndsim.fock import (
+    FockSpace,
+    JointState,
+    _reflection_kraus,
+    coherent_state,
+    fock_state,
+    moments,
+    partial_trace,
+)
 from qndsim.node import (
     CqedParams,
     NodeImperfections,
@@ -14,13 +22,14 @@ from qndsim.node import (
     dephase,
     dephase_visibility,
     detect_state,
-    plus_x_state,
     prepare,
     reflect,
     reflection_coefficients,
     reflection_pair,
     rotate,
     rotation_matrix,
+    _branch_reflection_kraus,
+    _distinguishability_kraus,
 )
 
 NODE1 = CqedParams(g=7.6, kappa=2.5, gamma=3.0)
@@ -44,7 +53,7 @@ class TestReflectionCoefficients:
 
     def test_closed_form_node1(self):
         r = reflection_coefficients(NODE1, coupled=True)
-        c = NODE1.cooperativity
+        c = NODE1.g**2 / (2 * NODE1.kappa * NODE1.gamma)  # cooperativity
         assert r == pytest.approx((2 * c - 1) / (2 * c + 1), abs=1e-12)
         assert r.real == pytest.approx(0.7701, abs=1e-4)
         assert abs(r) ** 2 == pytest.approx(0.5931, abs=1e-4)
@@ -71,27 +80,27 @@ class TestReflectionCoefficients:
 
 class TestReflect:
     def test_ideal_pair_is_cz(self):
-        st = JointState.from_parts([("q", plus_x_state()), ("m", fock_state(1, FockSpace(3)))])
+        st = JointState.from_parts([("q", pure(UP_X)), ("m", fock_state(1, FockSpace(3)))])
         out = reflect(st, "q", "m", ReflectionPair(1.0, -1.0))
         atom = partial_trace(out, ["q"]).matrix
         assert np.max(np.abs(atom - pure(DOWN_X))) < 1e-12
         assert moments(out, "m")[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_ideal_pair_vacuum_leaves_atom(self):
-        st = JointState.from_parts([("q", plus_x_state()), ("m", fock_state(0, FockSpace(2)))])
+        st = JointState.from_parts([("q", pure(UP_X)), ("m", fock_state(0, FockSpace(2)))])
         out = reflect(st, "q", "m", ReflectionPair(1.0, -1.0))
         atom = partial_trace(out, ["q"]).matrix
-        assert np.max(np.abs(atom - plus_x_state())) < 1e-12
+        assert np.max(np.abs(atom - pure(UP_X))) < 1e-12
 
     def test_node1_pair_on_coherent(self):
         mu = 0.1
         pair = reflection_pair(NODE1)
         st = JointState.from_parts(
-            [("q", plus_x_state()), ("m", coherent_state(mu, FockSpace.for_mean_photon(mu)))]
+            [("q", pure(UP_X)), ("m", coherent_state(mu, FockSpace.for_mean_photon(mu)))]
         )
         out = reflect(st, "q", "m", pair)
-        atom = partial_trace(out, ["q"])
-        assert atom.purity() < 1.0
+        atom = partial_trace(out, ["q"]).matrix
+        assert np.trace(atom @ atom).real < 1.0  # the atom is no longer pure
         expected_mean = mu * (abs(pair.r_coupled) ** 2 + abs(pair.r_uncoupled) ** 2) / 2
         assert moments(out, "m")[0] == pytest.approx(expected_mean, abs=1e-9)
 
@@ -104,6 +113,54 @@ class TestReflect:
             assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
+class TestStackedKrausFamilies:
+    """The cached families against the per-operator kron construction they replace."""
+
+    P_UP = np.diag([1.0, 0.0]).astype(complex)
+    P_DN = np.diag([0.0, 1.0]).astype(complex)
+
+    def _kron_reflection(self, dim, pair):
+        b_c = _reflection_kraus(dim, complex(pair.r_coupled))
+        b_u = _reflection_kraus(dim, complex(pair.r_uncoupled))
+        ops = [np.kron(self.P_UP, kc) + np.kron(self.P_DN, ku) for kc, ku in zip(b_c, b_u)]
+        return [k for k in ops if np.any(k)]
+
+    def _kron_distinguishability(self, dim, contrast):
+        n = np.arange(dim)
+        ops = []
+        for j in range(dim):
+            diag = np.zeros(dim)
+            nn = n[n >= j]
+            diag[n >= j] = (
+                np.sqrt([math.comb(int(m), j) for m in nn])
+                * contrast ** (nn - j)
+                * (1.0 - contrast**2) ** (j / 2.0)
+            )
+            k = np.kron(self.P_UP, np.diag(diag).astype(complex))
+            if j == 0:
+                k = k + np.kron(self.P_DN, np.eye(dim, dtype=complex))
+            if np.any(k):
+                ops.append(k)
+        return ops
+
+    def test_reflection_family_equals_kron_construction(self):
+        pairs = [reflection_pair(NODE1), reflection_pair(NODE2), ReflectionPair(1.0, -1.0)]
+        pairs.append(ReflectionPair(1.0, complex(np.exp(0.5j * math.pi))))
+        for dim in (2, 5, 19):
+            for pair in pairs:
+                r_c, r_u = complex(pair.r_coupled), complex(pair.r_uncoupled)
+                got = _branch_reflection_kraus(dim, r_c, r_u)
+                assert np.array_equal(got, np.array(self._kron_reflection(dim, pair)))
+                assert not got.flags.writeable
+
+    def test_distinguishability_family_equals_kron_construction(self):
+        for dim in (2, 5, 19):
+            for contrast in (0.0, 0.63, 0.87):
+                got = _distinguishability_kraus(dim, contrast)
+                assert np.array_equal(got, np.array(self._kron_distinguishability(dim, contrast)))
+                assert not got.flags.writeable
+
+
 class TestBranchDistinguishability:
     def test_full_contrast_identity(self):
         rng = np.random.default_rng(31)
@@ -112,7 +169,7 @@ class TestBranchDistinguishability:
         assert np.allclose(out.matrix, st.matrix, atol=1e-14)
 
     def test_scales_cross_coherence_by_contrast_power(self):
-        st = JointState.from_parts([("q", plus_x_state()), ("m", fock_state(2, FockSpace(3)))])
+        st = JointState.from_parts([("q", pure(UP_X)), ("m", fock_state(2, FockSpace(3)))])
         c = 0.8
         out = branch_distinguishability(st, "q", "m", c)
         dim = 4
@@ -164,12 +221,12 @@ class TestRotate:
         vec /= np.linalg.norm(vec)
         st = JointState.from_parts([("q", pure(vec)), ("m", fock_state(0, FockSpace(1)))])
         out = rotate(st, "q", "y", 1.2345, 0.321)
-        assert out.purity() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(out.matrix @ out.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDephase:
     def _up_x(self):
-        return JointState.from_parts([("q", plus_x_state()), ("m", fock_state(0, FockSpace(1)))])
+        return JointState.from_parts([("q", pure(UP_X)), ("m", fock_state(0, FockSpace(1)))])
 
     def test_zero_window_identity(self):
         st = self._up_x()
@@ -221,7 +278,7 @@ class TestDetectState:
         assert read.p_down == pytest.approx(0.01, abs=1e-12)
 
     def test_superposition_leaves_product_photon(self):
-        read = detect_state(self._state(plus_x_state()), "q", 1.0)
+        read = detect_state(self._state(pure(UP_X)), "q", 1.0)
         assert read.p_up == pytest.approx(0.5, abs=1e-12)
         photon = read.conditional(True).mode_state("m")
         assert photon.matrix[1, 1].real == pytest.approx(1.0, abs=1e-12)

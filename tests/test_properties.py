@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density_matrix
+from conftest import click_probability, parity_probabilities, random_density_matrix
 from qndsim.channel import ChannelParams, fiber_channel
-from qndsim.detectors import DetectorParams, click_povm
+from qndsim.detectors import DetectorParams
 from qndsim.fock import (
     FockSpace,
     JointState,
     beam_splitter,
     coherent_state,
-    conditional_phase,
     loss_channel,
     moments,
     partial_trace,
-    phase_shift,
 )
 from qndsim.node import ReflectionPair, branch_distinguishability, dephase_visibility, reflect
 
@@ -43,7 +41,9 @@ def _random_channel(rng, state):
         r_c = complex(rng.uniform(-1, 1), 0.0)
         return reflect(state, "q", "m", ReflectionPair(r_c, -1.0))
     if kind == 2:
-        return conditional_phase(state, "q", "m", float(rng.uniform(0, 2 * math.pi)))
+        # the sorter's controlled phase: unit moduli, phase on the down branch
+        phase = complex(np.exp(1j * rng.uniform(0, 2 * math.pi)))
+        return reflect(state, "q", "m", ReflectionPair(1.0, phase))
     if kind == 3:
         return dephase_visibility(state, "q", float(rng.uniform(0, 1)))
     if kind == 4:
@@ -107,8 +107,6 @@ def test_loss_coherent_covariance_property(mu, t):
 @settings(max_examples=40, deadline=None)
 @given(mu=st.floats(min_value=0.01, max_value=2.0))
 def test_parity_closed_form_property(mu):
-    from qndsim.fock import parity_probabilities
-
     space = FockSpace(FockSpace.required_cutoff(mu) + 4)
     even, odd = parity_probabilities(coherent_state(mu, space))
     assert even == pytest.approx((1 + math.exp(-2 * mu)) / 2, abs=1e-9)
@@ -116,13 +114,15 @@ def test_parity_closed_form_property(mu):
 
 
 def test_phase_shift_never_changes_click_statistics():
+    # a per-photon phase on both branches: a reflection of unit modulus
     rng = np.random.default_rng(55)
     det = DetectorParams(0.8, 10.0, 2.0)
     for _ in range(50):
         st = _random_joint(rng, n_max=4)
-        rotated = phase_shift(st, "m", float(rng.uniform(0, 2 * math.pi)))
-        assert click_povm(rotated, "m", det).p_click == pytest.approx(
-            click_povm(st, "m", det).p_click, abs=1e-12
+        phase = complex(np.exp(1j * rng.uniform(0, 2 * math.pi)))
+        rotated = reflect(st, "q", "m", ReflectionPair(phase, phase))
+        assert click_probability(rotated, "m", det) == pytest.approx(
+            click_probability(st, "m", det), abs=1e-12
         )
 
 

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_configs
+from conftest import conditional, random_configs
 from qndsim.channel import ChannelParams
 from qndsim.config import ideal_config
 from qndsim.errors import ConfigError, ZeroProbabilityError
-from qndsim.estimators import G2_CONDITIONS, g2_from_numbers, g2_table
+from qndsim.estimators import G2_CONDITIONS, cells_from_distribution, g2_from_numbers, g2_table, snr
+from qndsim import protocol
+from qndsim.fock import loss_channel
 from qndsim.protocol import (
     JointDistribution,
     branch_photon_numbers,
@@ -43,9 +45,7 @@ class TestRunCascadeIdeal:
 
 class TestRunCascadePaper:
     def test_conditional_detection_anchor(self, base_config):
-        dist = run_cascade(base_config, 0.084)
-        cond, _ = dist.condition(click)
-        p = cond.prob(lambda o: o.s1)
+        p = cells_from_distribution(run_cascade(base_config, 0.084))["p_up1_given_click"]
         assert 0.76 <= p <= 0.86  # brackets the 81.3% reference point
 
     def test_up_probability_monotone_and_bounded(self, base_config):
@@ -78,10 +78,8 @@ class TestRunCascadePaper:
 
     def test_full_depolarization_removes_conditioning_effect(self, base_config):
         cfg = replace(base_config, channel=ChannelParams(0.53, 1.0, 0.0))
-        dist = run_cascade(cfg, 0.2)
-        p1 = dist.prob(lambda o: o.s1)
-        cond, _ = dist.condition(lambda o: o.s2)
-        assert cond.prob(lambda o: o.s1) == pytest.approx(p1, abs=1e-9)
+        cells = cells_from_distribution(run_cascade(cfg, 0.2))
+        assert cells["p_up1_given_up2"] == pytest.approx(cells["p_up1"], abs=1e-9)
 
 
 class TestRunSingle:
@@ -99,21 +97,74 @@ class TestRunSingle:
 
     def test_node2_conditional_anchor(self, base_config):
         dist = run_single(base_config, 2, 0.056)
-        cond, _ = dist.condition(click)
-        assert cond.prob(lambda o: o.s) == pytest.approx(0.87, abs=0.05)
+        assert conditional(dist, lambda o: o.s, click) == pytest.approx(0.87, abs=0.05)
 
     def test_invalid_index(self, base_config):
         with pytest.raises(ConfigError):
             run_single(base_config, 3, 0.1)
 
+    @staticmethod
+    def _assert_matches_cascade_with_mirror(config, mu):
+        # The other node becomes a unit mirror whose atom is read and summed out.
+        for node_index in (1, 2):
+            other = 2 if node_index == 1 else 1
+            node = config.node(other)
+            mirror = replace(
+                node,
+                reflection_override=(1.0, 1.0),
+                imperfections=replace(node.imperfections, reflection_contrast=1.0),
+            )
+            cascade = run_cascade(replace(config, **{f"node{other}": mirror}), mu).table
+            expected = cascade.sum(axis=other - 1)
+            got = run_single(config, node_index, mu).table
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_matches_cascade_with_mirror(self, base_config, perfect_config):
+        for config in (base_config, perfect_config):
+            for mu in (0.0, 0.084, 0.45, 3.11):
+                self._assert_matches_cascade_with_mirror(config, mu)
+
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(config=random_configs())
+    def test_matches_cascade_with_mirror_on_random_configs(self, config):
+        self._assert_matches_cascade_with_mirror(config, config.mean_photon_sweep[0])
+
+
+class TestFiberPhaseFlip:
+    """Every cascade output is photon-number diagonal, so the fiber's flip never shows."""
+
+    @pytest.mark.parametrize("depolarization", [0.01, 0.3])  # the default, and a strong flip
+    def test_flip_never_reaches_cascade_outputs(self, base_config, monkeypatch, depolarization):
+        config = replace(
+            base_config, channel=replace(base_config.channel, depolarization=depolarization)
+        )
+        mus = (0.0, 0.084, 0.45, 3.11)
+
+        def outputs():
+            return [
+                np.concatenate(
+                    [
+                        run_cascade(config, mu).table.ravel(),
+                        branch_photon_numbers(config, mu).ravel(),
+                        run_single(config, 1, mu).table.ravel(),
+                        run_single(config, 2, mu).table.ravel(),
+                    ]
+                )
+                for mu in mus
+            ]
+
+        with_flip = outputs()
+        monkeypatch.setattr(
+            protocol,
+            "fiber_channel",
+            lambda state, mode, params: loss_channel(state, mode, params.transmission),
+        )
+        loss_only = outputs()
+        for mu, a, b in zip(mus, with_flip, loss_only):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=f"mu={mu}")
+
 
 class TestCondition:
-    def test_trivial_predicate_is_identity(self, base_config):
-        dist = run_cascade(base_config, 0.084)
-        cond, p = dist.condition(lambda o: True)
-        assert p == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(cond.table, dist.table, atol=1e-15)
-
     def test_product_distribution_independence(self):
         table = np.zeros((2, 2))
         px, py = 0.3, 0.8
@@ -121,30 +172,26 @@ class TestCondition:
             for j in (0, 1):
                 table[i, j] = (px if i else 1 - px) * (py if j else 1 - py)
         dist = JointDistribution(("x", "y"), table)
-        cond, _ = dist.condition(lambda o: o.x)
-        marg_y = cond.prob(lambda o: o.y)
-        assert marg_y == pytest.approx(py, abs=1e-12)
+        assert dist.prob(lambda o: o.y) == pytest.approx(py, abs=1e-12)
+        assert conditional(dist, lambda o: o.y, lambda o: o.x) == pytest.approx(py, abs=1e-12)
 
     def test_correlation_threshold_near_mu_02(self, base_config):
-        dist = run_cascade(base_config, 0.2)
-        cond, _ = dist.condition(lambda o: o.s2)
-        assert cond.prob(lambda o: o.s1) > 0.5
+        cells = cells_from_distribution(run_cascade(base_config, 0.2))
+        assert cells["p_up1_given_up2"] > 0.5
 
     def test_zero_probability_predicate_raises(self, perfect_config):
+        # Without light or dark counts nothing clicks: the click-conditioned
+        # cells are absent and the SNR, which needs them, refuses to form.
         cfg = replace(
             perfect_config,
             detector_a=replace(perfect_config.detector_a, dark_rate=0.0),
             detector_b=replace(perfect_config.detector_b, dark_rate=0.0),
+            mean_photon_sweep=(0.0,),
         )
-        dist = run_cascade(cfg, 0.0)
+        cells = cells_from_distribution(run_cascade(cfg, 0.0))
+        assert cells["p_up1_given_click"] is None and cells["p_and_given_click"] is None
         with pytest.raises(ZeroProbabilityError):
-            dist.condition(click)
-
-    def test_conditional_renormalized(self, base_config):
-        dist = run_cascade(base_config, 0.45)
-        cond, p = dist.condition(click)
-        assert 0 < p < 1
-        assert cond.table.sum() == pytest.approx(1.0, abs=1e-10)
+            snr(cfg)
 
 
 class TestConditionedPhotonState:
