@@ -187,14 +187,9 @@ def run(
     trials: int | None = None,
     seed: int | None = None,
 ) -> RunManifest:
-    """Produce one figure CSV plus manifest.json in out_dir."""
-    if mode is not None:
-        mode = {"mc": "monte_carlo"}.get(mode, mode)
-        config = replace(config, mode=mode)
-    if trials is not None:
-        config = replace(config, trials=trials)
-    if seed is not None:
-        config = replace(config, seed=seed)
+    """Produce one figure CSV plus manifest.json in out_dir; given run settings override config's."""
+    overrides = {"mode": mode, "trials": trials, "seed": seed}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{figure}.csv")

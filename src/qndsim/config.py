@@ -9,6 +9,7 @@ characterization values of the modeled two-node experiment.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 from .channel import ChannelParams
 from .detectors import DetectorParams
@@ -18,97 +19,79 @@ from .protocol import ExperimentConfig, NodeConfig
 
 DEFAULT_SWEEP = (0.04, 0.056, 0.084, 0.12, 0.2, 0.3, 0.45, 0.65, 0.9, 1.3, 1.8, 2.4, 3.11)
 
-# Flat key table: name -> (kind, lower, upper). kind 'float', 'int', 'str',
-# 'float_list'. Bounds are inclusive; None disables the bound.
-_SCHEMA: dict[str, tuple[str, float | None, float | None]] = {}
-for _n in ("node1", "node2"):
-    _SCHEMA.update(
-        {
-            f"{_n}.g": ("float", 0.0, None),
-            f"{_n}.kappa": ("float", 0.0, None),
-            f"{_n}.kappa_r": ("float", 0.0, None),
-            f"{_n}.gamma": ("float", 0.0, None),
-            f"{_n}.delta_c": ("float", None, None),
-            f"{_n}.delta_a": ("float", None, None),
-            f"{_n}.dark_count": ("float", 0.0, 1.0),
-            f"{_n}.t_coherence": ("float", 0.0, None),
-            f"{_n}.prep_fidelity": ("float", 0.0, 1.0),
-            f"{_n}.readout_fidelity": ("float", 0.0, 1.0),
-            f"{_n}.protocol_window": ("float", 0.0, None),
-            f"{_n}.reflection_contrast": ("float", 0.0, 1.0),
-        }
-    )
-_SCHEMA.update(
-    {
-        "channel.transmission": ("float", 0.0, 1.0),
-        "channel.depolarization": ("float", 0.0, 1.0),
-        "channel.birefringence_residual": ("float", 0.0, 1.0),
-        "detection.efficiency": ("float", 0.0, 1.0),
-        "detector_a.efficiency": ("float", 0.0, 1.0),
-        "detector_a.dark_rate": ("float", 0.0, None),
-        "detector_a.gate_window": ("float", 0.0, None),
-        "detector_b.efficiency": ("float", 0.0, 1.0),
-        "detector_b.dark_rate": ("float", 0.0, None),
-        "detector_b.gate_window": ("float", 0.0, None),
-        "sweep.mu": ("float_list", 0.0, None),
-        "input.kind": ("str", None, None),
-        "input.fock_n": ("int", 0, None),
-        "run.mode": ("str", None, None),
-        "run.trials": ("int", 1, None),
-        "run.seed": ("int", None, None),
+# (kind, lower, upper, default) of one key. kind is 'float', 'int', 'str' or
+# 'float_list'; bounds are inclusive and None disables one.
+_Entry = tuple[str, float | None, float | None, object]
+
+
+def _node_keys(
+    name: str, kappa: float, dark_count: float, t_coherence: float, contrast: float
+) -> dict[str, _Entry]:
+    return {
+        f"{name}.g": ("float", 0.0, None, 7.6),
+        f"{name}.kappa": ("float", 0.0, None, kappa),
+        # None resolves to kappa in CqedParams: a fully one-sided cavity.
+        f"{name}.kappa_r": ("float", 0.0, None, None),
+        f"{name}.gamma": ("float", 0.0, None, 3.0),
+        f"{name}.delta_c": ("float", None, None, 0.0),
+        f"{name}.delta_a": ("float", None, None, 0.0),
+        f"{name}.dark_count": ("float", 0.0, 1.0, dark_count),
+        f"{name}.t_coherence": ("float", 0.0, None, t_coherence),
+        f"{name}.prep_fidelity": ("float", 0.0, 1.0, 1.0),
+        f"{name}.readout_fidelity": ("float", 0.0, 1.0, 1.0),
+        f"{name}.protocol_window": ("float", 0.0, None, 3.0),
+        f"{name}.reflection_contrast": ("float", 0.0, 1.0, contrast),
     }
-)
+
+
+# The file's key set, the one place it is declared. A key `section.field` of a
+# parameter section (_NODE_PARTS, _SECTIONS) names the dataclass field of the
+# same name; _TOP_LEVEL maps the keys of ExperimentConfig itself.
+_KEYS: dict[str, _Entry] = {
+    **_node_keys("node1", kappa=2.5, dark_count=0.014, t_coherence=420.0, contrast=0.63),
+    **_node_keys("node2", kappa=2.8, dark_count=0.004, t_coherence=470.0, contrast=0.87),
+    "channel.transmission": ("float", 0.0, 1.0, 0.53),
+    "channel.depolarization": ("float", 0.0, 1.0, 0.01),
+    "channel.birefringence_residual": ("float", 0.0, 1.0, 0.005),
+    "detection.efficiency": ("float", 0.0, 1.0, 0.5),
+    "detector_a.efficiency": ("float", 0.0, 1.0, 0.9),
+    "detector_a.dark_rate": ("float", 0.0, None, 40.0),
+    "detector_a.gate_window": ("float", 0.0, None, 2.0),
+    "detector_b.efficiency": ("float", 0.0, 1.0, 0.9),
+    "detector_b.dark_rate": ("float", 0.0, None, 40.0),
+    "detector_b.gate_window": ("float", 0.0, None, 2.0),
+    "sweep.mu": ("float_list", 0.0, None, DEFAULT_SWEEP),
+    "input.kind": ("str", None, None, "coherent"),
+    "input.fock_n": ("int", 0, None, 1),
+    "run.mode": ("str", None, None, "exact"),
+    "run.trials": ("int", 1, None, 100_000),
+    "run.seed": ("int", None, None, 12345),
+}
+
+_NODES = ("node1", "node2")
+_NODE_PARTS = {"cqed": CqedParams, "imperfections": NodeImperfections}
+_SECTIONS = {"channel": ChannelParams, "detector_a": DetectorParams, "detector_b": DetectorParams}
+_TOP_LEVEL = {
+    "detection.efficiency": "detection_efficiency",
+    "sweep.mu": "mean_photon_sweep",
+    "input.kind": "input_kind",
+    "input.fock_n": "fock_n",
+    "run.mode": "mode",
+    "run.trials": "trials",
+    "run.seed": "seed",
+}
 
 # Keys whose value may be +inf: an infinite coherence time means no dephasing.
 # Every other number must be finite, and NaN is rejected everywhere.
-_INFINITY_ALLOWED = frozenset(f"{n}.t_coherence" for n in ("node1", "node2"))
+_INFINITY_ALLOWED = frozenset(f"{n}.t_coherence" for n in _NODES)
 
-_DEFAULTS: dict[str, object] = {
-    "node1.g": 7.6,
-    "node1.kappa": 2.5,
-    "node1.kappa_r": 2.5,
-    "node1.gamma": 3.0,
-    "node1.delta_c": 0.0,
-    "node1.delta_a": 0.0,
-    "node1.dark_count": 0.014,
-    "node1.t_coherence": 420.0,
-    "node1.prep_fidelity": 1.0,
-    "node1.readout_fidelity": 1.0,
-    "node1.protocol_window": 3.0,
-    "node1.reflection_contrast": 0.63,
-    "node2.g": 7.6,
-    "node2.kappa": 2.8,
-    "node2.kappa_r": 2.8,
-    "node2.gamma": 3.0,
-    "node2.delta_c": 0.0,
-    "node2.delta_a": 0.0,
-    "node2.dark_count": 0.004,
-    "node2.t_coherence": 470.0,
-    "node2.prep_fidelity": 1.0,
-    "node2.readout_fidelity": 1.0,
-    "node2.protocol_window": 3.0,
-    "node2.reflection_contrast": 0.87,
-    "channel.transmission": 0.53,
-    "channel.depolarization": 0.01,
-    "channel.birefringence_residual": 0.005,
-    "detection.efficiency": 0.5,
-    "detector_a.efficiency": 0.9,
-    "detector_a.dark_rate": 40.0,
-    "detector_a.gate_window": 2.0,
-    "detector_b.efficiency": 0.9,
-    "detector_b.dark_rate": 40.0,
-    "detector_b.gate_window": 2.0,
-    "sweep.mu": DEFAULT_SWEEP,
-    "input.kind": "coherent",
-    "input.fock_n": 1,
-    "run.mode": "exact",
-    "run.trials": 100_000,
-    "run.seed": 12345,
-}
+
+def _defaults() -> dict[str, object]:
+    return {key: entry[3] for key, entry in _KEYS.items()}
 
 
 def _parse_value(key: str, raw: str, line_no: int) -> object:
-    kind, lo, hi = _SCHEMA[key]
+    kind, lo, hi, _ = _KEYS[key]
     try:
         if kind == "float":
             value: object = float(raw)
@@ -135,7 +118,8 @@ def _parse_value(key: str, raw: str, line_no: int) -> object:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    values = dict(_DEFAULTS)
+    values = _defaults()
+    set_on: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -143,8 +127,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {line_no}: expected 'section.key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {line_no}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = line_no
         values[key] = _parse_value(key, raw, line_no)
     return build_config(values)
 
@@ -158,59 +145,23 @@ def parse_config(path: str) -> ExperimentConfig:
     return parse_config_text(text)
 
 
-def _node(values: dict[str, object], name: str) -> NodeConfig:
-    g = values[f"{name}.g"]
-    return NodeConfig(
-        cqed=CqedParams(
-            g=g,
-            kappa=values[f"{name}.kappa"],
-            gamma=values[f"{name}.gamma"],
-            kappa_r=values[f"{name}.kappa_r"],
-            delta_c=values[f"{name}.delta_c"],
-            delta_a=values[f"{name}.delta_a"],
-        ),
-        imperfections=NodeImperfections(
-            dark_count=values[f"{name}.dark_count"],
-            t_coherence=values[f"{name}.t_coherence"],
-            prep_fidelity=values[f"{name}.prep_fidelity"],
-            readout_fidelity=values[f"{name}.readout_fidelity"],
-            protocol_window=values[f"{name}.protocol_window"],
-            reflection_contrast=values[f"{name}.reflection_contrast"],
-        ),
-    )
+def _params(cls: type, section: str, values: dict[str, object]):
+    return cls(**{f.name: values[f"{section}.{f.name}"] for f in fields(cls)})
 
 
 def build_config(values: dict[str, object]) -> ExperimentConfig:
-    return ExperimentConfig(
-        node1=_node(values, "node1"),
-        node2=_node(values, "node2"),
-        channel=ChannelParams(
-            transmission=values["channel.transmission"],
-            depolarization=values["channel.depolarization"],
-            birefringence_residual=values["channel.birefringence_residual"],
-        ),
-        detection_efficiency=values["detection.efficiency"],
-        detector_a=DetectorParams(
-            efficiency=values["detector_a.efficiency"],
-            dark_rate=values["detector_a.dark_rate"],
-            gate_window=values["detector_a.gate_window"],
-        ),
-        detector_b=DetectorParams(
-            efficiency=values["detector_b.efficiency"],
-            dark_rate=values["detector_b.dark_rate"],
-            gate_window=values["detector_b.gate_window"],
-        ),
-        mean_photon_sweep=tuple(values["sweep.mu"]),
-        input_kind=values["input.kind"],
-        fock_n=values["input.fock_n"],
-        mode={"mc": "monte_carlo"}.get(values["run.mode"], values["run.mode"]),
-        trials=values["run.trials"],
-        seed=values["run.seed"],
-    )
+    """ExperimentConfig from a complete key -> value map, as config_values() returns."""
+    kwargs = {attr: values[key] for key, attr in _TOP_LEVEL.items()}
+    for name in _NODES:
+        parts = {part: _params(cls, name, values) for part, cls in _NODE_PARTS.items()}
+        kwargs[name] = NodeConfig(**parts)
+    for name, cls in _SECTIONS.items():
+        kwargs[name] = _params(cls, name, values)
+    return ExperimentConfig(**kwargs)
 
 
 def default_config() -> ExperimentConfig:
-    return build_config(dict(_DEFAULTS))
+    return build_config(_defaults())
 
 
 def ideal_config(
@@ -242,45 +193,12 @@ def _format_value(value: object) -> str:
 
 
 def config_values(config: ExperimentConfig) -> dict[str, object]:
-    out: dict[str, object] = {}
-    for name, node in (("node1", config.node1), ("node2", config.node2)):
-        cq, imp = node.cqed, node.imperfections
-        out.update(
-            {
-                f"{name}.g": cq.g,
-                f"{name}.kappa": cq.kappa,
-                f"{name}.kappa_r": cq.out_coupling,
-                f"{name}.gamma": cq.gamma,
-                f"{name}.delta_c": cq.delta_c,
-                f"{name}.delta_a": cq.delta_a,
-                f"{name}.dark_count": imp.dark_count,
-                f"{name}.t_coherence": imp.t_coherence,
-                f"{name}.prep_fidelity": imp.prep_fidelity,
-                f"{name}.readout_fidelity": imp.readout_fidelity,
-                f"{name}.protocol_window": imp.protocol_window,
-                f"{name}.reflection_contrast": imp.reflection_contrast,
-            }
-        )
-    out.update(
-        {
-            "channel.transmission": config.channel.transmission,
-            "channel.depolarization": config.channel.depolarization,
-            "channel.birefringence_residual": config.channel.birefringence_residual,
-            "detection.efficiency": config.detection_efficiency,
-            "detector_a.efficiency": config.detector_a.efficiency,
-            "detector_a.dark_rate": config.detector_a.dark_rate,
-            "detector_a.gate_window": config.detector_a.gate_window,
-            "detector_b.efficiency": config.detector_b.efficiency,
-            "detector_b.dark_rate": config.detector_b.dark_rate,
-            "detector_b.gate_window": config.detector_b.gate_window,
-            "sweep.mu": config.mean_photon_sweep,
-            "input.kind": config.input_kind,
-            "input.fock_n": config.fock_n,
-            "run.mode": config.mode,
-            "run.trials": config.trials,
-            "run.seed": config.seed,
-        }
-    )
+    """The file's key -> value map of a config; build_config() inverts it."""
+    out = {key: getattr(config, attr) for key, attr in _TOP_LEVEL.items()}
+    sections = [(name, getattr(getattr(config, name), p)) for name in _NODES for p in _NODE_PARTS]
+    sections += [(name, getattr(config, name)) for name in _SECTIONS]
+    for name, params in sections:
+        out.update({f"{name}.{f.name}": getattr(params, f.name) for f in fields(params)})
     return out
 
 
@@ -289,5 +207,5 @@ def serialize_config(config: ExperimentConfig) -> str:
     if config.node1.reflection_override is not None or config.node2.reflection_override is not None:
         raise ConfigError("configs with explicit reflection overrides have no file form")
     values = config_values(config)
-    lines = [f"{key} = {_format_value(values[key])}" for key in sorted(_SCHEMA)]
+    lines = [f"{key} = {_format_value(values[key])}" for key in sorted(_KEYS)]
     return "\n".join(lines) + "\n"

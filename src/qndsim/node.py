@@ -25,7 +25,7 @@ class CqedParams:
     g: float
     kappa: float
     gamma: float
-    kappa_r: float | None = None  # out-coupling mirror decay; None means fully one-sided
+    kappa_r: float | None = None  # out-coupling mirror decay; None resolves to kappa (one-sided)
     delta_c: float = 0.0
     delta_a: float = 0.0
 
@@ -34,13 +34,10 @@ class CqedParams:
             raise ConfigError(
                 f"g, kappa, gamma must be > 0, got ({self.g}, {self.kappa}, {self.gamma})"
             )
-        kr = self.kappa if self.kappa_r is None else self.kappa_r
-        if not 0 < kr <= self.kappa:
-            raise ConfigError(f"kappa_r must satisfy 0 < kappa_r <= kappa, got {kr}")
-
-    @property
-    def out_coupling(self) -> float:
-        return self.kappa if self.kappa_r is None else self.kappa_r
+        if self.kappa_r is None:
+            object.__setattr__(self, "kappa_r", self.kappa)
+        if not 0 < self.kappa_r <= self.kappa:
+            raise ConfigError(f"kappa_r must satisfy 0 < kappa_r <= kappa, got {self.kappa_r}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ def reflection_coefficients(params: CqedParams, coupled: bool) -> complex:
     g_eff = params.g if coupled else 0.0
     lorentz = g_eff**2 / (params.gamma + 1j * params.delta_a)
     denom = 1j * params.delta_c + params.kappa + lorentz
-    num = 1j * params.delta_c + params.kappa - 2.0 * params.out_coupling + lorentz
+    num = 1j * params.delta_c + params.kappa - 2.0 * params.kappa_r + lorentz
     r = num / denom
     if abs(r) > 1.0 + 1e-12:
         raise ConfigError(f"computed |r| = {abs(r)} > 1; parameters unphysical")

@@ -17,8 +17,9 @@ import numpy as np
 
 from .channel import ChannelParams, detection_path, fiber_channel
 from .detectors import DetectorParams, hbt_split_and_count
-from .errors import ConfigError, ZeroProbabilityError
+from .errors import ConfigError, TruncationError, ZeroProbabilityError
 from .fock import (
+    N_MAX_CAP,
     FockSpace,
     JointState,
     ModeState,
@@ -69,11 +70,13 @@ class ExperimentConfig:
     mean_photon_sweep: tuple[float, ...]
     input_kind: str = "coherent"  # 'coherent' or 'fock'
     fock_n: int = 1
-    mode: str = "exact"  # 'exact' or 'monte_carlo'
+    mode: str = "exact"  # 'exact' or 'monte_carlo' (alias 'mc')
     trials: int = 100_000
     seed: int = 12345
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mean_photon_sweep", tuple(self.mean_photon_sweep))
+        object.__setattr__(self, "mode", {"mc": "monte_carlo"}.get(self.mode, self.mode))
         if not self.mean_photon_sweep:
             raise ConfigError("mean photon sweep must be nonempty")
         if any(m < 0 for m in self.mean_photon_sweep):
@@ -99,6 +102,10 @@ class ExperimentConfig:
     def fock_space(self) -> FockSpace:
         """Cutoff adapted to the run's largest mean photon number (or Fock input)."""
         if self.input_kind == "fock":
+            if self.fock_n > N_MAX_CAP:
+                raise TruncationError(
+                    f"fock_n = {self.fock_n} exceeds the cutoff cap n_max = {N_MAX_CAP}"
+                )
             return FockSpace(max(1, self.fock_n))
         return FockSpace.for_mean_photon(max(self.mean_photon_sweep))
 

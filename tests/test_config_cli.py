@@ -1,16 +1,21 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import random_configs
 from qndsim.cli import build_figure, compare, main, run
 from qndsim.config import (
+    build_config,
+    config_values,
     default_config,
     parse_config,
     parse_config_text,
     serialize_config,
 )
-from qndsim.errors import ConfigError
+from qndsim.errors import ConfigError, TruncationError
 
 
 class TestParseConfig:
@@ -86,6 +91,50 @@ class TestParseConfig:
         assert config.node2.imperfections.visibility() == 1.0
         assert parse_config_text(serialize_config(config)) == config
 
+    def test_repeated_key_rejected(self, tmp_path):
+        text = "node1.g = 1\n# comment\nnode1.g = 2\n"
+        with pytest.raises(ConfigError, match="line 3: key 'node1.g' already set on line 1"):
+            parse_config_text(text)
+        path = tmp_path / "twice.cfg"
+        path.write_text(text)
+        assert main(["table1", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_kappa_r_follows_kappa(self):
+        config = parse_config_text("node1.kappa = 2.0\nnode2.kappa = 5.0\n")
+        assert config.node1.cqed.kappa_r == 2.0
+        assert config.node2.cqed.kappa_r == 5.0
+        explicit = parse_config_text("node1.kappa = 5.0\nnode1.kappa_r = 4.0\n")
+        assert explicit.node1.cqed.kappa_r == 4.0
+        assert explicit.node2.cqed.kappa_r == 2.8
+        for cfg in (config, explicit):
+            assert parse_config_text(serialize_config(cfg)) == cfg
+
+    def test_fock_input_capped_at_cutoff_cap(self, tmp_path):
+        assert parse_config_text("input.kind = fock\ninput.fock_n = 24\n").fock_space().n_max == 24
+        text = "input.kind = fock\ninput.fock_n = 25\n"
+        with pytest.raises(TruncationError, match="cap n_max = 24"):
+            parse_config_text(text)
+        path = tmp_path / "fock.cfg"
+        path.write_text(text)
+        assert main(["table1", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "table1.csv").exists()
+
+    def test_mc_alias_normalized_by_config(self):
+        assert parse_config_text("run.mode = mc\n").mode == "monte_carlo"
+        assert replace(default_config(), mode="mc").mode == "monte_carlo"
+
+    def test_every_key_maps_to_a_field(self):
+        config = default_config()
+        file_keys = {line.split(" = ")[0] for line in serialize_config(config).splitlines()}
+        assert len(file_keys) == 40
+        assert file_keys == set(config_values(config))
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(config=random_configs())
+    def test_round_trip_random_configs(self, config):
+        assert build_config(config_values(config)) == config
+        assert parse_config_text(serialize_config(config)) == config
+
 
 class TestFigureBuilders:
     def test_fig2_columns_and_anchor(self, base_config):
@@ -131,8 +180,6 @@ class TestRunAndCompare:
         assert report["max_abs_diff"] == 0.0
 
     def test_compare_exact_vs_monte_carlo_within_3_sigma(self, tmp_path, base_config):
-        from dataclasses import replace
-
         small = replace(base_config, mean_photon_sweep=(0.04, 0.2, 0.9))
         run("fig3", small, str(tmp_path / "exact"))
         run("fig3", small, str(tmp_path / "mc"), mode="monte_carlo", trials=100_000)
@@ -142,8 +189,6 @@ class TestRunAndCompare:
         assert report["pass"], report
 
     def test_compare_flags_perturbed_transmission(self, tmp_path, base_config):
-        from dataclasses import replace
-
         small = replace(base_config, mean_photon_sweep=(0.084,))
         perturbed = replace(small, channel=replace(small.channel, transmission=0.54))
         run("fig2", small, str(tmp_path / "a"))
@@ -174,8 +219,6 @@ class TestCliMain:
         assert rc == 2
 
     def test_compare_cli_identical(self, tmp_path, base_config):
-        from dataclasses import replace
-
         small = replace(base_config, mean_photon_sweep=(0.084,))
         run("fig2", small, str(tmp_path / "a"))
         run("fig2", small, str(tmp_path / "b"))
@@ -185,8 +228,6 @@ class TestCliMain:
         assert rc == 0
 
     def test_mc_figure_deterministic(self, tmp_path, base_config):
-        from dataclasses import replace
-
         small = replace(base_config, mean_photon_sweep=(0.084,))
         run("fig3", small, str(tmp_path / "a"), mode="mc", trials=20_000, seed=99)
         run("fig3", small, str(tmp_path / "b"), mode="mc", trials=20_000, seed=99)
