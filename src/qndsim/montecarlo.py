@@ -145,11 +145,26 @@ def _atom_probabilities(
 
     fate_counts: (N, 8); depolarized: (N,) bool; c1, c2: (N, 2) complex.
     Returns (N, 2, 2) probabilities (index 0 = up).
+
+    The branch amplitude is psi[x, y] = c1[x] c2[y] prod_f amp[d, x, y, f]^count_f.
+    The power is taken only for the rows whose count in fate column f is
+    nonzero; every other row keeps an exact factor 1, as amp^0 = 1 would give.
+    Each atom's residual Z dephasing is the mixture of Z^0 and Z^1 with
+    weights (1 + v)/2 and (1 - v)/2, so the (a, b) sum below adds the
+    probabilities of U1 Z^a psi Z^b U2^T. That product is written out on the
+    four (N,) components of psi: entry (i, l) is sum over (j, k) of
+    U1[i, j] U2[l, k] psi[j, k], with the sign (-1)^(a j + b k) folded into
+    the scalar coefficient.
     """
     n_trials = fate_counts.shape[0]
-    amp = model.amp[depolarized.astype(int)]  # (N, 2, 2, 8)
-    factors = np.power(amp, fate_counts[:, None, None, :]).prod(axis=-1)  # (N, 2, 2)
-    psi = c1[:, :, None] * c2[:, None, :] * factors
+    depol = depolarized.astype(int)
+    factors = np.ones((n_trials, 2, 2), dtype=complex)
+    for f in range(fate_counts.shape[1]):
+        rows = np.flatnonzero(fate_counts[:, f])
+        if rows.size:
+            base = model.amp[depol[rows], :, :, f]  # (M, 2, 2)
+            factors[rows] *= np.power(base, fate_counts[rows, f][:, None, None])
+    psi = {(j, k): c1[:, j] * c2[:, k] * factors[:, j, k] for j in (0, 1) for k in (0, 1)}
 
     kept1 = fate_counts.sum(axis=1) - fate_counts[:, _F_LOST1]
     kept2 = kept1 - fate_counts[:, _F_FIBER] - fate_counts[:, _F_LOST2]
@@ -163,14 +178,14 @@ def _atom_probabilities(
     for a in (0, 1):
         wa = (1.0 + v1) / 2.0 if a == 0 else (1.0 - v1) / 2.0
         for b in (0, 1):
-            wb = (1.0 + v2) / 2.0 if b == 0 else (1.0 - v2) / 2.0
-            psi_ab = psi.copy()
-            if a:
-                psi_ab[:, 1, :] *= -1.0
-            if b:
-                psi_ab[:, :, 1] *= -1.0
-            rotated = np.einsum("ij,njk,lk->nil", u1, psi_ab, u2)
-            probs += (wa * wb)[:, None, None] * np.abs(rotated) ** 2
+            wab = wa * ((1.0 + v2) / 2.0 if b == 0 else (1.0 - v2) / 2.0)
+            for i in (0, 1):
+                for l in (0, 1):
+                    rotated = sum(
+                        (-1) ** (a * j + b * k) * u1[i, j] * u2[l, k] * psi_jk
+                        for (j, k), psi_jk in psi.items()
+                    )
+                    probs[:, i, l] += wab * np.abs(rotated) ** 2
     norm = probs.sum(axis=(1, 2))
     return probs / norm[:, None, None]
 
@@ -182,6 +197,8 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     the _F_* column order, "depolarized", the readouts "s1"/"s2" (True = up)
     and the detector clicks "click_a"/"click_b".
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     model = _Model.from_config(config)
     seed = config.seed
     stream = lambda name: _sweep_stream(seed, mean_photon, name)
@@ -257,8 +274,6 @@ def _cell_estimate(event: np.ndarray, given: np.ndarray | None) -> tuple[float |
 
 def estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> McEstimate:
     """Monte Carlo estimates with binomial standard errors for every table cell."""
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
     arrays = _simulate_arrays(config, mean_photon, trials)
     trial = Outcome(arrays["s1"], arrays["s2"], arrays["click_a"], arrays["click_b"])
     values: dict[str, float | None] = {}

@@ -1,13 +1,17 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import random_configs
+from qndsim import montecarlo
+from qndsim.config import build_config, config_values
+from qndsim.errors import ConfigError
 from qndsim.estimators import CELLS, cells_from_distribution, quiet_detectors
-from qndsim.montecarlo import _simulate_arrays, estimate, g2_estimate
+from qndsim.montecarlo import _F_FIBER, _F_LOST1, _F_LOST2, _simulate_arrays, estimate, g2_estimate
 from qndsim.protocol import run_cascade
 
 
@@ -15,6 +19,111 @@ def sigma_deviation(exact, mc, stderr):
     if stderr == 0.0:
         return 0.0 if exact == mc else math.inf
     return abs(exact - mc) / stderr
+
+
+def reference_atom_probabilities(model, fate_counts, depolarized, c1, c2):
+    """Reference: the dense amplitude power and one einsum per dephasing term."""
+    n_trials = fate_counts.shape[0]
+    amp = model.amp[depolarized.astype(int)]  # (N, 2, 2, 8)
+    factors = np.power(amp, fate_counts[:, None, None, :]).prod(axis=-1)  # (N, 2, 2)
+    psi = c1[:, :, None] * c2[:, None, :] * factors
+
+    kept1 = fate_counts.sum(axis=1) - fate_counts[:, _F_LOST1]
+    kept2 = kept1 - fate_counts[:, _F_FIBER] - fate_counts[:, _F_LOST2]
+    v1 = model.visibility[0] * model.contrast[0] ** kept1
+    v2 = model.visibility[1] * np.where(
+        depolarized, 1.0, model.contrast[1] ** kept2
+    )
+
+    u1, u2 = model.rotation
+    probs = np.zeros((n_trials, 2, 2))
+    for a in (0, 1):
+        wa = (1.0 + v1) / 2.0 if a == 0 else (1.0 - v1) / 2.0
+        for b in (0, 1):
+            wb = (1.0 + v2) / 2.0 if b == 0 else (1.0 - v2) / 2.0
+            psi_ab = psi.copy()
+            if a:
+                psi_ab[:, 1, :] *= -1.0
+            if b:
+                psi_ab[:, :, 1] *= -1.0
+            rotated = np.einsum("ij,njk,lk->nil", u1, psi_ab, u2)
+            probs += (wa * wb)[:, None, None] * np.abs(rotated) ** 2
+    norm = probs.sum(axis=(1, 2))
+    return probs / norm[:, None, None]
+
+
+def kernel_inputs(config, mean_photon, trials):
+    """The arguments `_simulate_arrays` passes to `_atom_probabilities`."""
+    captured = []
+    kernel = montecarlo._atom_probabilities
+
+    def capture(*args):
+        captured.append(args)
+        return kernel(*args)
+
+    with mock.patch.object(montecarlo, "_atom_probabilities", capture):
+        _simulate_arrays(config, mean_photon, trials)
+    (args,) = captured
+    return args
+
+
+# Key values that make some per-photon amplitudes vanish, or the contrast factor exactly 1.
+_EDGE_VALUES = {
+    "detector_a_blind": {"detector_a.efficiency": 0.0, "detector_b.efficiency": 1.0},
+    "detector_b_blind": {"detector_a.efficiency": 1.0, "detector_b.efficiency": 0.0},
+    "lossless_fiber": {"channel.transmission": 1.0},
+    "full_contrast": {"node1.reflection_contrast": 1.0, "node2.reflection_contrast": 1.0},
+    "no_detection_loss": {"detection.efficiency": 1.0},
+}
+
+
+class TestAtomProbabilitiesKernel:
+    """The element-wise kernel against the einsum kernel it replaced."""
+
+    @staticmethod
+    def assert_kernels_agree(config, mean_photon, trials=20_000):
+        args = kernel_inputs(config, mean_photon, trials)
+        np.testing.assert_allclose(
+            montecarlo._atom_probabilities(*args),
+            reference_atom_probabilities(*args),
+            rtol=0.0,
+            atol=1e-15,
+        )
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(config=random_configs())
+    def test_random_configs(self, config):
+        self.assert_kernels_agree(config, config.mean_photon_sweep[0])
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_VALUES))
+    @pytest.mark.parametrize("input_kind", ["coherent", "fock"])
+    def test_edge_configs(self, base_config, name, input_kind):
+        values = config_values(base_config)
+        values.update({"input.kind": input_kind, "input.fock_n": 3, **_EDGE_VALUES[name]})
+        self.assert_kernels_agree(build_config(values), 0.9)
+
+    def test_many_photons(self, base_config):
+        self.assert_kernels_agree(base_config, 3.11)
+
+
+class TestSampleIdentity:
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("mean_photon", [0.04, 0.45, 3.11])
+    def test_reference_kernel_draws_the_same_trials(self, base_config, monkeypatch, seed, mean_photon):
+        config = replace(base_config, seed=seed)
+        arrays = _simulate_arrays(config, mean_photon, 20_000)
+        monkeypatch.setattr(montecarlo, "_atom_probabilities", reference_atom_probabilities)
+        expected = _simulate_arrays(config, mean_photon, 20_000)
+        assert arrays.keys() == expected.keys()
+        for key in expected:
+            np.testing.assert_array_equal(arrays[key], expected[key], err_msg=key)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("estimator", [estimate, g2_estimate])
+def test_estimators_reject_too_few_trials(base_config, estimator, trials):
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        estimator(base_config, 0.45, trials)
 
 
 class TestSimulateArrays:
