@@ -3,6 +3,13 @@
 States are dense complex density matrices. All channel operations are pure
 functions returning new, immutable states; trace is preserved to 1e-12 and
 positivity to an eigenvalue floor of -1e-10 (floating-point channels).
+
+Every state is checked when it is built, on the principal submatrix of its
+support (the indices whose row or column holds a nonzero entry): finite
+entries, Hermiticity and trace to 1e-12 and, up to dimension 128, positivity.
+Positivity is accepted when the submatrix minus half the floor times the
+identity has a Cholesky factor; only if that fails does eigvalsh of the whole
+matrix decide against the floor.
 """
 
 from __future__ import annotations
@@ -45,16 +52,37 @@ def _poisson_sf(n: int, mean_photon: float) -> float:
 def _check_density(matrix: np.ndarray, what: str) -> None:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{what}: density matrix must be square, got {matrix.shape}")
-    herm = np.max(np.abs(matrix - matrix.conj().T))
+    # Indices whose row and column are both zero (a vacuum ancilla, a Fock
+    # input) add nothing to the Hermiticity deviation and only zeros to the
+    # spectrum, so those checks run on the principal submatrix of the support.
+    # The trace and the eigvalsh fallback read the whole matrix, so their
+    # values and messages are exactly those of a dense check.
+    support = np.flatnonzero(matrix.any(0) | matrix.any(1))
+    sub = matrix if support.size == len(matrix) else matrix[np.ix_(support, support)]
+    herm = np.max(np.abs(sub - sub.conj().T), initial=0.0)
+    # A non-finite entry is nonzero, so it lies in the support, and it makes
+    # its own deviation non-finite.
+    if not math.isfinite(herm):
+        bad = np.argwhere(~np.isfinite(sub))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"{what}: non-finite entry {sub[i, j]} at ({support[i]}, {support[j]})")
     if herm > HERMITICITY_TOL:
         raise ValueError(f"{what}: not Hermitian (max deviation {herm:.3e})")
     tr = np.trace(matrix).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{what}: trace {tr!r} differs from 1 beyond {TRACE_TOL}")
     if matrix.shape[0] <= _POSITIVITY_DIM_LIMIT:
-        lo = float(np.linalg.eigvalsh(matrix)[0])
-        if lo < EIGENVALUE_FLOOR:
-            raise ValueError(f"{what}: negative eigenvalue {lo:.3e} below floor")
+        # A Cholesky factor of sub - (floor/2) I proves every eigenvalue is at
+        # least floor/2 less a rounding error of order dim * eps * |sub|, far
+        # above the floor. Only a failed factorization pays for eigvalsh, which
+        # then decides; both read the lower triangle.
+        try:
+            np.linalg.cholesky(sub - (EIGENVALUE_FLOOR / 2) * np.eye(support.size))
+        except np.linalg.LinAlgError:
+            lo = float(np.linalg.eigvalsh(matrix)[0])
+            if lo < EIGENVALUE_FLOOR:
+                raise ValueError(f"{what}: negative eigenvalue {lo:.3e} below floor") from None
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:
@@ -93,6 +121,7 @@ class FockSpace:
             )
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def required_cutoff(mean_photon: float, tol: float = TRUNCATION_TAIL_TOL) -> int:
         if mean_photon == 0.0:
             return 1

@@ -199,6 +199,8 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not mean_photon >= 0.0:  # false for NaN too
+        raise ConfigError(f"mean photon number must be >= 0, got {mean_photon}")
     model = _Model.from_config(config)
     seed = config.seed
     stream = lambda name: _sweep_stream(seed, mean_photon, name)

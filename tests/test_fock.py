@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     parity_probabilities,
@@ -12,7 +14,10 @@ from conftest import (
 )
 from qndsim.errors import ConfigError, SubsystemError, TruncationError
 from qndsim.fock import (
+    EIGENVALUE_FLOOR,
+    HERMITICITY_TOL,
     N_MAX_CAP,
+    TRACE_TOL,
     TRUNCATION_TAIL_TOL,
     FockSpace,
     JointState,
@@ -25,7 +30,9 @@ from qndsim.fock import (
     partial_trace,
     _annihilation,
     _apply_channel,
+    _POSITIVITY_DIM_LIMIT,
     _beam_splitter_unitary,
+    _check_density,
     _poisson_sf,
 )
 from qndsim.node import ReflectionPair, reflect
@@ -285,6 +292,122 @@ class TestStateValidation:
         mat = np.array([[1.2, 0], [0, -0.2]], dtype=complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             ModeState(FockSpace(1), mat)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            np.full((2, 2), np.nan),
+            np.diag([np.nan, 1.0]),
+            np.array([[1.0, np.nan], [np.nan, 0.0]]),
+            np.array([[1.0, 0.0], [np.nan, 0.0]]),
+            np.array([[1.0, 0.0], [0.0, np.inf]]),
+            np.array([[1.0, np.inf], [0.0, 0.0]]),
+        ],
+        ids=["all-nan", "nan-diagonal", "nan-off-diagonal", "nan-one-side", "inf-diagonal", "inf-off-diagonal"],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_rejected(self, mat):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            ModeState(FockSpace(1), mat.astype(complex))
+
+
+def _reference_check_density(matrix: np.ndarray, what: str) -> None:
+    """The dense check the support-and-Cholesky one replaced, kept to compare decisions."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{what}: density matrix must be square, got {matrix.shape}")
+    herm = np.max(np.abs(matrix - matrix.conj().T))
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"{what}: not Hermitian (max deviation {herm:.3e})")
+    tr = np.trace(matrix).real
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"{what}: trace {tr!r} differs from 1 beyond {TRACE_TOL}")
+    if matrix.shape[0] <= _POSITIVITY_DIM_LIMIT:
+        lo = float(np.linalg.eigvalsh(matrix)[0])
+        if lo < EIGENVALUE_FLOOR:
+            raise ValueError(f"{what}: negative eigenvalue {lo:.3e} below floor")
+
+
+def _decision(check, matrix: np.ndarray) -> str | None:
+    """None when the check accepts, else its message."""
+    try:
+        check(matrix, "state")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Lowest eigenvalues on both sides of the floor, on it (where rounding decides),
+# and on both sides of the half floor the factorization is shifted by.
+_LOWEST_EIGENVALUES = (-1e-9, -1.01e-10, -1.0000001e-10, -1e-10, -0.99e-10, -0.5e-10, -1e-14, 0.0)
+
+
+@st.composite
+def density_candidates(draw):
+    """Trace-one Hermitian matrices with a set lowest eigenvalue, perturbed and padded.
+
+    The padding inserts zero rows and columns at random indices, sometimes
+    enough to pass the positivity limit.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 8))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u = np.linalg.qr(g)[0]
+    lowest = draw(st.sampled_from(_LOWEST_EIGENVALUES))
+    lam = rng.uniform(0.1, 1.0, dim)
+    lam[0] = 0.0
+    lam *= (1.0 - lowest) / lam.sum()
+    lam[0] = lowest
+    rho = (u * lam) @ u.conj().T
+    pad = draw(st.sampled_from((0, 0, 1, 3, 10, _POSITIVITY_DIM_LIMIT - 4)))
+    total = dim + pad
+    idx = np.sort(rng.choice(total, dim, replace=False))
+    mat = np.zeros((total, total), dtype=complex)
+    mat[np.ix_(idx, idx)] = rho
+    i, j = (int(x) for x in rng.choice(idx, 2, replace=False))
+    kind = draw(st.sampled_from(("none", "none", "hermiticity", "trace", "zero line")))
+    if kind == "hermiticity":
+        mat[i, j] += draw(st.sampled_from((0.5e-12, 2e-12)))
+    elif kind == "trace":
+        mat[i, i] += draw(st.sampled_from((-2e-12, 2e-12)))
+    elif kind == "zero line" and pad:
+        # a nonzero column under a zero row, or the transpose: only one of the
+        # two puts the index in the support
+        zero = int(np.setdiff1d(np.arange(total), idx)[0])
+        mat[(i, zero) if draw(st.booleans()) else (zero, i)] = 1e-3
+    return mat
+
+
+class TestDensityCheckDecisions:
+    """The support-and-Cholesky check accepts and rejects exactly as the dense eigvalsh check."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(mat=density_candidates())
+    def test_same_decision_as_reference(self, mat):
+        assert _decision(_check_density, mat) == _decision(_reference_check_density, mat)
+
+    @pytest.mark.parametrize(
+        "entries, dim, expected",
+        [
+            pytest.param({(0, 0): 1.0, (0, 2): 1e-3}, 3, "not Hermitian", id="zero row, nonzero column"),
+            pytest.param(
+                {(3, 3): 1.2, (70, 70): -0.2}, _POSITIVITY_DIM_LIMIT + 2, None, id="negative above the limit"
+            ),
+            pytest.param(
+                {(0, 0): 0.5, (1, 1): 0.5, (0, 1): 1e308, (1, 0): -1e308},
+                2,
+                "not Hermitian (max deviation inf)",
+                id="finite entries, overflowing deviation",
+            ),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_edge_cases(self, entries, dim, expected):
+        mat = np.zeros((dim, dim), dtype=complex)
+        for index, value in entries.items():
+            mat[index] = value
+        got = _decision(_check_density, mat)
+        assert got == _decision(_reference_check_density, mat)
+        assert got is None if expected is None else expected in got
 
 
 def test_thermal_state_mean():

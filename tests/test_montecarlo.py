@@ -126,6 +126,13 @@ def test_estimators_reject_too_few_trials(base_config, estimator, trials):
         estimator(base_config, 0.45, trials)
 
 
+@pytest.mark.parametrize("mean_photon", [-0.1, math.nan])
+@pytest.mark.parametrize("estimator", [estimate, g2_estimate])
+def test_estimators_reject_bad_mean_photon(base_config, estimator, mean_photon):
+    with pytest.raises(ConfigError, match="mean photon number must be >= 0"):
+        estimator(base_config, mean_photon, 1000)
+
+
 class TestSimulateArrays:
     def test_no_light_produces_no_clicks(self, base_config):
         cfg = quiet_detectors(base_config)
