@@ -53,8 +53,10 @@ def fiber_channel(state: JointState, mode: str, params: ChannelParams) -> JointS
 
     The flip never changes a cascade output: the later channels keep the
     photon-number difference of every coherence and all measurements are
-    number-diagonal, so only populations are read. It is visible only in a
-    full output state, the number sorter's SorterResult.state.
+    number-diagonal, so only populations are read. The protocol engine runs
+    on that number-diagonal sector, where the flip is the identity, so it
+    never calls this function; the number sorter does, and the flip is
+    visible in its full output state SorterResult.state.
     """
     out = loss_channel(state, mode, params.transmission)
     q = params.scramble_probability

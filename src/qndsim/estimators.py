@@ -103,7 +103,8 @@ def sweep_estimates(config: ExperimentConfig) -> EstimateTable:
     rows = []
     for mu in config.mean_photon_sweep:
         cells = cells_from_distribution(run_cascade(config, mu))
-        rows.append(EstimateRow(mu, cells, {c: 0.0 for c in cells}))
+        stderrs = {c: None if v is None else 0.0 for c, v in cells.items()}
+        rows.append(EstimateRow(mu, cells, stderrs))
     return EstimateTable(tuple(rows))
 
 

@@ -2,7 +2,9 @@
 
 States are dense complex density matrices. All channel operations are pure
 functions returning new, immutable states; trace is preserved to 1e-12 and
-positivity to an eigenvalue floor of -1e-10 (floating-point channels).
+positivity to an eigenvalue floor of -1e-10 (floating-point channels). The
+protocol engine keeps only the photon-number-diagonal blocks of its states;
+_check_blocks validates those stacks to the same tolerances.
 
 Every state is checked when it is built, on the principal submatrix of its
 support (the indices whose row or column holds a nonzero entry): finite
@@ -28,9 +30,15 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 TRUNCATION_TAIL_TOL = 1e-9
 N_MAX_CAP = 24
+# Outcomes less probable than this are indistinguishable from zero: no
+# conditional state is formed for them.
+MIN_PROBABILITY = 1e-12
 
-# Positivity checks cost O(dim^3); skip them above this dimension (transient
-# two-mode states inside detector models). Protocol states stay well below it.
+# Positivity checks cost O(dim^3); skip them above this dimension (the
+# two-mode states inside the detector split). The split's single-mode input
+# and the reduced states it measures, and the sorter's qubit-mode states, stay
+# well below it; the protocol's number-diagonal blocks are checked by
+# _check_blocks instead.
 _POSITIVITY_DIM_LIMIT = 128
 
 
@@ -83,6 +91,29 @@ def _check_density(matrix: np.ndarray, what: str) -> None:
             lo = float(np.linalg.eigvalsh(matrix)[0])
             if lo < EIGENVALUE_FLOOR:
                 raise ValueError(f"{what}: negative eigenvalue {lo:.3e} below floor") from None
+
+
+def _check_blocks(blocks: np.ndarray, what: str) -> None:
+    """Check a number-diagonal state held as a (dim, b, b) stack of blocks.
+
+    blocks[n] is the b x b block of photon number n; the state is their
+    direct sum, so it is positive exactly when every block is. Requires every
+    entry finite, every block Hermitian to HERMITICITY_TOL, the summed trace
+    1 to TRACE_TOL and the lowest eigenvalue of all blocks (one batched
+    eigvalsh) at or above EIGENVALUE_FLOOR.
+    """
+    if not np.isfinite(blocks).all():
+        n, i, j = np.argwhere(~np.isfinite(blocks))[0]
+        raise ValueError(f"{what}: non-finite entry {blocks[n, i, j]} in block {n} at ({i}, {j})")
+    herm = np.max(np.abs(blocks - blocks.conj().swapaxes(1, 2)), initial=0.0)
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"{what}: not Hermitian (max deviation {herm:.3e})")
+    tr = np.trace(blocks, axis1=1, axis2=2).real.sum()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"{what}: trace {tr!r} differs from 1 beyond {TRACE_TOL}")
+    lo = float(np.linalg.eigvalsh(blocks).min())
+    if lo < EIGENVALUE_FLOOR:
+        raise ValueError(f"{what}: negative eigenvalue {lo:.3e} below floor")
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:
@@ -427,7 +458,7 @@ def partial_trace(state: JointState, keep: Sequence[str]) -> JointState:
 
 
 def measure_diagonal(
-    state: JointState, label: str, weights: np.ndarray, min_probability: float = 1e-12
+    state: JointState, label: str, weights: np.ndarray, min_probability: float = MIN_PROBABILITY
 ) -> tuple[float, JointState | None]:
     """Probability and conditional state for a diagonal POVM element on one subsystem.
 

@@ -2,27 +2,39 @@
 
 Produces exact joint outcome distributions over the two atomic readouts and
 the two absorbing detectors, and the readout-resolved photon-number table
-P[s1, s2, n] that the g2 and no-light estimators read. Atomic readout is
-applied before the photon counting; all measurement channels act on disjoint
-subsystems, so this ordering does not affect the joint table.
+P[s1, s2, n] that the g2 and no-light estimators read.
+
+The engine runs on the photon-number-diagonal sector. Every cascade channel
+(loss, reflection, branch distinguishability, the fiber's phase flip,
+dephasing, the qubit rotations) keeps the photon-number difference n - m of a
+coherence, and every measurement (atomic readout, threshold detection) is
+diagonal in photon number, so only the n = m sector reaches an output. The
+state is one 2^k x 2^k block of the k atoms per photon number; each channel
+acts on it through a transfer derived from its cached Kraus family. Atomic
+readout is applied before the photon counting; all measurement channels act
+on disjoint subsystems, so this ordering does not affect the joint table.
+Each readout branch hands its photon-number distribution to the detector
+split as a diagonal photon state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, detection_path, fiber_channel
+from .channel import ChannelParams
 from .detectors import DetectorParams, hbt_split_and_count
 from .errors import ConfigError, TruncationError, ZeroProbabilityError
 from .fock import (
+    MIN_PROBABILITY,
     N_MAX_CAP,
     FockSpace,
-    JointState,
     ModeState,
+    _check_blocks,
     coherent_state,
     fock_state,
 )
@@ -30,12 +42,11 @@ from .node import (
     CqedParams,
     NodeImperfections,
     ReflectionPair,
-    detect_state,
-    dephase,
+    _branch_reflection_kraus,
+    _distinguishability_kraus,
     prepare,
-    reflect,
     reflection_pair,
-    rotate,
+    rotation_matrix,
 )
 
 HALF_PI = math.pi / 2.0
@@ -167,100 +178,135 @@ class JointDistribution:
         return float(sum(p for o, p in self.outcomes() if predicate(o)))
 
 
-def _pulse_area_rotation(state: JointState, qubit: str, imp: NodeImperfections) -> JointState:
-    return rotate(state, qubit, "y", HALF_PI, imp.over_rotation())
+def _transfer(kraus: np.ndarray) -> np.ndarray:
+    """Sector transfer T[x, y, m, n] of a (qubit, mode) Kraus family that keeps x and n - m.
 
-
-def _downstream_reflection(
-    state: JointState, qubit: str, node: NodeConfig, channel: ChannelParams
-) -> JointState:
-    """Reflection off the node downstream of the connecting fiber.
-
-    With probability p + eps the pulse's polarization has scrambled in the
-    fiber (collectively, per pulse): the scrambled component reflects off the
-    bare resonator on both branches and no longer drives this node's atom, so
-    its record decouples the downstream readout from everything upstream.
+    Each operator maps |x, n> to |x, m> only, with n - m fixed per operator,
+    so a block |x, n><y, n| goes to sum_m T[x, y, m, n] |x, m><y, m| with
+    T[x, y, m, n] = sum_k K[k, (x, m), (x, n)] conj(K[k, (y, m), (y, n)]).
     """
-    q = channel.scramble_probability
-    coupled = reflect(state, qubit, "ph", node.pair(), node.imperfections.reflection_contrast)
-    if q == 0.0:
-        return coupled
-    decoupled = reflect(state, qubit, "ph", node.empty_pair())
-    return coupled._replace_matrix((1.0 - q) * coupled.matrix + q * decoupled.matrix)
+    dim = kraus.shape[1] // 2
+    ops = kraus.reshape(len(kraus), 2, dim, 2, dim)[:, [0, 1], :, [0, 1], :]
+    return np.einsum("xkmn,ykmn->xymn", ops, ops.conj())
 
 
-def _propagate_cascade(
+@lru_cache(maxsize=None)
+def _reflection_transfer(dim: int, pair: ReflectionPair, contrast: float = 1.0) -> np.ndarray:
+    """reflect() on the sector: B[m, n] = C(n, m) (r_x conj(r_y))^m (s_x s_y)^(n - m).
+
+    A contrast below one then scales the x != y blocks by contrast^n.
+    """
+    kraus = _branch_reflection_kraus(dim, complex(pair.r_coupled), complex(pair.r_uncoupled))
+    out = _transfer(kraus)
+    if contrast < 1.0:
+        out = _transfer(_distinguishability_kraus(dim, contrast)) @ out
+    return out
+
+
+def _on_qubit(blocks: np.ndarray, transfer: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply a one-qubit transfer T[x, y, m, n] to the given qubit of every block."""
+    k = blocks.shape[1].bit_length() - 1
+    bit = (np.arange(2**k) >> (k - 1 - qubit)) & 1
+    return np.einsum("xymn,nxy->mxy", transfer[bit[:, None], bit[None, :]], blocks)
+
+
+def _propagate(
     config: ExperimentConfig, mean_photon: float, nodes: Sequence[int] = (1, 2)
-) -> JointState:
-    """Optical pipeline up to (and including) the final pi/2 pulses.
+) -> np.ndarray:
+    """Number-diagonal blocks S[n] of the state after the final pi/2 pulses.
 
-    Node k's atom is the qubit "a<k>". Only the listed nodes take part; a
+    Only the listed nodes take part, one atom each in the listed order; a
     missing node acts as a unit-reflectivity mirror, so (1,) or (2,) is the
     single-node characterization run and the fiber and detection losses stay
-    where they are.
+    where they are. The state is a (dim, 2^k, 2^k) stack of the k atoms'
+    blocks, one per photon number (see the module docstring); the fiber's
+    phase flip is the identity on it and drops out. Each stage's stack is
+    validated.
     """
     space = config.fock_space()
-    atoms = [(f"a{k}", config.node(k)) for k in nodes]
-    state = JointState.from_parts(
-        [(qubit, prepare(node.imperfections.prep_fidelity)) for qubit, node in atoms]
-        + [("ph", config.input_state(mean_photon, space))]
-    )
-    for qubit, node in atoms:
-        state = _pulse_area_rotation(state, qubit, node.imperfections)
+    dim = space.dim
+    imps = [config.node(k).imperfections for k in nodes]
+
+    def checked(blocks: np.ndarray, what: str) -> np.ndarray:
+        _check_blocks(blocks, what)
+        return blocks
+
+    def loss(transmissivity: float) -> np.ndarray:
+        # Loss is a reflection of amplitude sqrt(T) on both branches of any qubit.
+        r = math.sqrt(transmissivity)
+        return _reflection_transfer(dim, ReflectionPair(r, r))
+
+    def reflection(node: NodeConfig) -> np.ndarray:
+        return _reflection_transfer(dim, node.pair(), node.imperfections.reflection_contrast)
+
+    # (stage, transfer, qubit it acts on) between the two pi/2 pulses
+    stages = []
     if 1 in nodes:
-        imp1 = config.node1.imperfections
-        state = reflect(state, "a1", "ph", config.node1.pair(), imp1.reflection_contrast)
-    state = fiber_channel(state, "ph", config.channel)
+        stages.append(("node 1 reflection", reflection(config.node1), nodes.index(1)))
+    stages.append(("fiber", loss(config.channel.transmission), 0))
     if 2 in nodes:
-        state = _downstream_reflection(state, "a2", config.node2, config.channel)
-    state = detection_path(state, "ph", config.detection_efficiency)
-    for qubit, node in atoms:
-        imp = node.imperfections
-        state = dephase(state, qubit, imp.protocol_window, imp.t_coherence)
-    for qubit, node in atoms:
-        state = _pulse_area_rotation(state, qubit, node.imperfections)
-    return state
+        # With probability q the pulse's polarization has scrambled in the
+        # fiber (collectively, per pulse): that component reflects off the bare
+        # resonator on both branches and no longer drives the downstream atom.
+        q = config.channel.scramble_probability
+        scrambled = _reflection_transfer(dim, config.node2.empty_pair())
+        mixed = (1.0 - q) * reflection(config.node2) + q * scrambled
+        stages.append(("node 2 reflection", mixed, nodes.index(2)))
+    stages.append(("detection path", loss(config.detection_efficiency), 0))
+
+    pulses = [rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation()) for imp in imps]
+    pulse = reduce(np.kron, pulses)
+    visibilities = [np.array([[1.0, v], [v, 1.0]]) for v in map(NodeImperfections.visibility, imps)]
+    atoms = reduce(np.kron, [prepare(imp.prep_fidelity) for imp in imps])
+    numbers = config.input_state(mean_photon, space).number_distribution()
+    blocks = checked(numbers[:, None, None] * atoms, "input")
+    blocks = checked(pulse @ blocks @ pulse.conj().T, "first pulses")
+    for what, transfer, qubit in stages:
+        blocks = checked(_on_qubit(blocks, transfer, qubit), what)
+    blocks = checked(blocks * reduce(np.kron, visibilities), "dephasing")
+    return checked(pulse @ blocks @ pulse.conj().T, "final pulses")
 
 
-_Branch = tuple[tuple[int, ...], float, JointState]
-
-
-def _readout_branches(state: JointState, readouts: Sequence[tuple[str, float]]) -> list[_Branch]:
-    """(readout bits, joint probability, conditional state) of every reachable branch.
-
-    The atoms are read in the given order, each as (qubit label, readout
-    fidelity); bit 1 means 'up'. A branch too improbable to condition on is
-    dropped together with every branch below it.
-    """
-    branches = [((), 1.0, state)]
-    for qubit, fidelity in readouts:
-        deeper = []
-        for bits, p, current in branches:
-            read = detect_state(current, qubit, fidelity)
-            for up in (0, 1):
-                p_up, cond = read.probability(up), read.conditional_or_none(up)
-                if p_up > 0.0 and cond is not None:
-                    deeper.append((bits + (up,), p * p_up, cond))
-        branches = deeper
-    return branches
+_Branch = tuple[tuple[int, ...], float, np.ndarray]
 
 
 def _node_branches(
     config: ExperimentConfig, mean_photon: float, nodes: Sequence[int] = (1, 2)
 ) -> list[_Branch]:
-    """Readout branches of the propagated run, one readout bit per listed node.
+    """(readout bits, joint probability, photon numbers) of every reachable branch.
 
-    Each branch keeps only the photon mode.
+    The atoms of the listed nodes are read in order, with symmetric
+    misassignment at each node's readout fidelity; bit 1 means 'up'. A branch
+    whose readout has conditional probability below MIN_PROBABILITY is dropped
+    together with every branch below it. The photon numbers are the
+    conditional number distribution of the branch.
     """
-    readouts = [(f"a{k}", config.node(k).imperfections.readout_fidelity) for k in nodes]
-    return _readout_branches(_propagate_cascade(config, mean_photon, nodes), readouts)
+    branches = [((), 1.0, _propagate(config, mean_photon, nodes))]
+    for k in nodes:
+        f = config.node(k).imperfections.readout_fidelity
+        deeper = []
+        for bits, p, blocks in branches:
+            dim, size = blocks.shape[:2]
+            split = blocks.reshape(dim, 2, size // 2, 2, size // 2)
+            # Weights on the qubit's up (index 0) and down states.
+            for up, (w0, w1) in ((0, (1.0 - f, f)), (1, (f, 1.0 - f))):
+                reduced = w0 * split[:, 0, :, 0] + w1 * split[:, 1, :, 1]
+                p_read = float(np.trace(reduced, axis1=1, axis2=2).real.sum())
+                if p_read >= MIN_PROBABILITY:
+                    cond = reduced / p_read
+                    _check_blocks(cond, f"node {k} readout")
+                    deeper.append((bits + (up,), p * p_read, cond))
+        branches = deeper
+    return [(bits, p, blocks[:, 0, 0].real) for bits, p, blocks in branches]
 
 
 def _click_table(config: ExperimentConfig, mean_photon: float, nodes: Sequence[int]) -> np.ndarray:
     """Table over (one readout bit per listed node..., detector a, detector b)."""
     table = np.zeros((2,) * (len(nodes) + 2))
-    for bits, p, cond in _node_branches(config, mean_photon, nodes):
-        clicks = hbt_split_and_count(cond, "ph", config.detector_a, config.detector_b)
+    space = config.fock_space()
+    for bits, p, numbers in _node_branches(config, mean_photon, nodes):
+        photon = ModeState(space, np.diag(numbers)).to_joint("ph")
+        clicks = hbt_split_and_count(photon, "ph", config.detector_a, config.detector_b)
         for (da, db), pc in clicks.items():
             table[bits + (int(da), int(db))] += p * pc
     return table
@@ -279,8 +325,8 @@ def branch_photon_numbers(config: ExperimentConfig, mean_photon: float) -> np.nd
     populations (conditioned g2, no-light rates) reads this one table.
     """
     table = np.zeros((2, 2, config.fock_space().dim))
-    for bits, p, cond in _node_branches(config, mean_photon):
-        table[bits] = p * np.real(np.diagonal(cond.matrix))
+    for bits, p, numbers in _node_branches(config, mean_photon):
+        table[bits] = p * numbers
     return table
 
 
@@ -295,18 +341,19 @@ def run_single(config: ExperimentConfig, node_index: int, mean_photon: float) ->
 def conditioned_photon_state(
     config: ExperimentConfig, mean_photon: float, predicate: Callable
 ) -> ModeState:
-    """Photon state just before the 50:50 split, conditioned on atomic outcomes.
+    """Number-dephased photon state just before the 50:50 split, conditioned on atomic outcomes.
 
-    The predicate sees an object with boolean fields s1 and s2. The diagonal
-    of this state is the normalized sum of the kept rows of
-    branch_photon_numbers(), which the estimators read instead.
+    The predicate sees an object with boolean fields s1 and s2. The state is
+    diagonal in photon number (every later measurement is), and its diagonal
+    is the normalized sum of the kept rows of branch_photon_numbers(), which
+    the estimators read instead.
     """
     kept = [
-        (p, cond.matrix)
-        for (s1, s2), p, cond in _node_branches(config, mean_photon)
+        (p, numbers)
+        for (s1, s2), p, numbers in _node_branches(config, mean_photon)
         if predicate(Outcome(bool(s1), bool(s2), False, False))
     ]
     total = sum(p for p, _ in kept)
     if total <= 0.0:
         raise ZeroProbabilityError("conditioning on a zero-probability atomic predicate")
-    return ModeState(config.fock_space(), sum(p * matrix for p, matrix in kept) / total)
+    return ModeState(config.fock_space(), np.diag(sum(p * numbers for p, numbers in kept) / total))

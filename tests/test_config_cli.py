@@ -16,6 +16,7 @@ from qndsim.config import (
     serialize_config,
 )
 from qndsim.errors import ConfigError, TruncationError
+from qndsim.estimators import quiet_detectors
 
 
 class TestParseConfig:
@@ -144,6 +145,18 @@ class TestFigureBuilders:
         col = header.index("p_up1_given_up2")
         values = [float(r[col]) for r in rows if r[col]]
         assert max(values) == pytest.approx(0.684, abs=0.05)
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
+    def test_absent_cell_has_empty_stderr(self, base_config, figure):
+        # No light and no detector dark counts: nothing clicks, so every
+        # click-conditioned cell is absent, and so is its standard error.
+        config = replace(quiet_detectors(base_config), mean_photon_sweep=(0.0,))
+        header, (row,) = build_figure(figure, config)
+        cells = dict(zip(header, row))
+        assert cells["p_up2_given_click"] == ""
+        for col, value in cells.items():
+            if f"{col}_stderr" in cells:
+                assert cells[f"{col}_stderr"] == ("" if value == "" else "0"), col
 
     def test_table1_rows(self, base_config):
         header, rows = build_figure("table1", base_config)

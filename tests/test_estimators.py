@@ -52,6 +52,7 @@ class TestSweepEstimates:
         row = sweep_estimates(cfg).rows[0]
         assert row.values["p_up1"] == pytest.approx(0.0, abs=1e-12)
         assert row.values["p_up1_given_click"] is None  # no clicks at zero input
+        assert row.stderrs["p_up1_given_click"] is None and row.stderrs["p_up1"] == 0.0
 
     def test_set_theoretic_inequalities(self, base_config):
         table = sweep_estimates(base_config)

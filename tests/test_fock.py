@@ -32,6 +32,7 @@ from qndsim.fock import (
     _apply_channel,
     _POSITIVITY_DIM_LIMIT,
     _beam_splitter_unitary,
+    _check_blocks,
     _check_density,
     _poisson_sf,
 )
@@ -309,6 +310,50 @@ class TestStateValidation:
     def test_non_finite_rejected(self, mat):
         with pytest.raises(ValueError, match="non-finite entry"):
             ModeState(FockSpace(1), mat.astype(complex))
+
+
+class TestBlockValidation:
+    """_check_blocks on a (dim, 4, 4) stack of number-diagonal qubit blocks."""
+
+    @staticmethod
+    def _blocks():
+        rng = np.random.default_rng(64)
+        weights = np.array([0.5, 0.3, 0.2])
+        return np.stack([w * random_density_matrix(rng, 4) for w in weights])
+
+    def test_valid_stack_accepted(self):
+        _check_blocks(self._blocks(), "stack")
+
+    def test_non_hermitian_block_rejected(self):
+        blocks = self._blocks()
+        blocks[1, 0, 2] += 2e-12
+        with pytest.raises(ValueError, match="Hermitian"):
+            _check_blocks(blocks, "stack")
+
+    @pytest.mark.parametrize("drift", [-1.6e-12, 1.6e-12])
+    def test_trace_drift_rejected(self, drift):
+        blocks = self._blocks()
+        blocks[2, 3, 3] += drift
+        with pytest.raises(ValueError, match="trace"):
+            _check_blocks(blocks, "stack")
+        blocks[2, 3, 3] -= drift / 2  # half the drift, within the tolerance, passes
+        _check_blocks(blocks, "stack")
+
+    def test_eigenvalue_below_floor_rejected(self):
+        blocks = np.zeros((2, 4, 4), dtype=complex)
+        blocks[0] = np.diag([0.6, 0.0, 0.0, 0.0])
+        blocks[1] = np.diag([0.4 + 2e-10, 0.0, -2e-10, 0.0])
+        with pytest.raises(ValueError, match="eigenvalue"):
+            _check_blocks(blocks, "stack")
+        blocks[1] = np.diag([0.4 + 0.5e-10, 0.0, -0.5e-10, 0.0])  # above the floor
+        _check_blocks(blocks, "stack")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        blocks = self._blocks()
+        blocks[1, 2, 1] = value
+        with pytest.raises(ValueError, match=r"non-finite entry .* in block 1 at \(2, 1\)"):
+            _check_blocks(blocks, "stack")
 
 
 def _reference_check_density(matrix: np.ndarray, what: str) -> None:

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import conditional, random_configs
-from qndsim.channel import ChannelParams
+from qndsim.channel import ChannelParams, detection_path, fiber_channel
 from qndsim.config import ideal_config
+from qndsim.detectors import hbt_split_and_count
 from qndsim.errors import ConfigError, ZeroProbabilityError
 from qndsim.estimators import G2_CONDITIONS, cells_from_distribution, g2_from_numbers, g2_table, snr
 from qndsim import protocol
-from qndsim.fock import loss_channel
+from qndsim.fock import JointState, loss_channel
+from qndsim.node import detect_state, dephase, prepare, reflect, rotate
 from qndsim.protocol import (
     JointDistribution,
     branch_photon_numbers,
@@ -19,6 +21,78 @@ from qndsim.protocol import (
     run_cascade,
     run_single,
 )
+
+
+# The dense cascade pipeline the photon-number sector engine replaced, kept as
+# its reference: the full joint density matrix of the atoms and the photon
+# mode through the node, channel and fock layers, read out atom by atom.
+
+
+def _dense_pulses(state, atoms):
+    for qubit, node in atoms:
+        state = rotate(state, qubit, "y", math.pi / 2, node.imperfections.over_rotation())
+    return state
+
+
+def _dense_downstream_reflection(state, node, channel):
+    q = channel.scramble_probability
+    coupled = reflect(state, "a2", "ph", node.pair(), node.imperfections.reflection_contrast)
+    if q == 0.0:
+        return coupled
+    decoupled = reflect(state, "a2", "ph", node.empty_pair())
+    return coupled._replace_matrix((1.0 - q) * coupled.matrix + q * decoupled.matrix)
+
+
+def dense_propagate(config, mu, nodes=(1, 2), fiber=fiber_channel):
+    space = config.fock_space()
+    atoms = [(f"a{k}", config.node(k)) for k in nodes]
+    state = JointState.from_parts(
+        [(qubit, prepare(node.imperfections.prep_fidelity)) for qubit, node in atoms]
+        + [("ph", config.input_state(mu, space))]
+    )
+    state = _dense_pulses(state, atoms)
+    if 1 in nodes:
+        imp1 = config.node1.imperfections
+        state = reflect(state, "a1", "ph", config.node1.pair(), imp1.reflection_contrast)
+    state = fiber(state, "ph", config.channel)
+    if 2 in nodes:
+        state = _dense_downstream_reflection(state, config.node2, config.channel)
+    state = detection_path(state, "ph", config.detection_efficiency)
+    for qubit, node in atoms:
+        imp = node.imperfections
+        state = dephase(state, qubit, imp.protocol_window, imp.t_coherence)
+    return _dense_pulses(state, atoms)
+
+
+def dense_node_branches(config, mu, nodes=(1, 2), fiber=fiber_channel):
+    """(readout bits, joint probability, conditional photon JointState) per kept branch."""
+    branches = [((), 1.0, dense_propagate(config, mu, nodes, fiber))]
+    for k in nodes:
+        deeper = []
+        for bits, p, current in branches:
+            read = detect_state(current, f"a{k}", config.node(k).imperfections.readout_fidelity)
+            for up in (0, 1):
+                p_up, cond = read.probability(up), read.conditional_or_none(up)
+                if p_up > 0.0 and cond is not None:
+                    deeper.append((bits + (up,), p * p_up, cond))
+        branches = deeper
+    return branches
+
+
+def dense_tables(config, mu, nodes=(1, 2), fiber=fiber_channel):
+    """(branches, P[bits..., n], click table over (bits..., da, db)) of the dense pipeline."""
+    branches = dense_node_branches(config, mu, nodes, fiber)
+    numbers = np.zeros((2,) * len(nodes) + (config.fock_space().dim,))
+    clicks = np.zeros((2,) * (len(nodes) + 2))
+    for bits, p, cond in branches:
+        numbers[bits] = p * np.real(np.diagonal(cond.matrix))
+        for (da, db), pc in hbt_split_and_count(cond, "ph", config.detector_a, config.detector_b).items():
+            clicks[bits + (int(da), int(db))] += p * pc
+    return branches, numbers, clicks
+
+
+def _loss_only_fiber(state, mode, params):
+    return loss_channel(state, mode, params.transmission)
 
 
 def click(o):
@@ -131,37 +205,79 @@ class TestRunSingle:
 
 
 class TestFiberPhaseFlip:
-    """Every cascade output is photon-number diagonal, so the fiber's flip never shows."""
+    """Every cascade output is photon-number diagonal, so the fiber's flip never shows.
+
+    The sector engine leaves the flip out; the dense reference, which applies
+    it, shows that it changes nothing, and the runtime matches that reference.
+    """
 
     @pytest.mark.parametrize("depolarization", [0.01, 0.3])  # the default, and a strong flip
-    def test_flip_never_reaches_cascade_outputs(self, base_config, monkeypatch, depolarization):
+    def test_flip_never_reaches_cascade_outputs(self, base_config, depolarization):
         config = replace(
             base_config, channel=replace(base_config.channel, depolarization=depolarization)
         )
         mus = (0.0, 0.084, 0.45, 3.11)
 
-        def outputs():
-            return [
-                np.concatenate(
-                    [
-                        run_cascade(config, mu).table.ravel(),
-                        branch_photon_numbers(config, mu).ravel(),
-                        run_single(config, 1, mu).table.ravel(),
-                        run_single(config, 2, mu).table.ravel(),
-                    ]
-                )
-                for mu in mus
-            ]
+        def dense_outputs(fiber):
+            out = []
+            for mu in mus:
+                _, numbers, cascade = dense_tables(config, mu, (1, 2), fiber)
+                singles = [dense_tables(config, mu, (k,), fiber)[2] for k in (1, 2)]
+                out.append(np.concatenate([a.ravel() for a in (cascade, numbers, *singles)]))
+            return out
 
-        with_flip = outputs()
-        monkeypatch.setattr(
-            protocol,
-            "fiber_channel",
-            lambda state, mode, params: loss_channel(state, mode, params.transmission),
-        )
-        loss_only = outputs()
-        for mu, a, b in zip(mus, with_flip, loss_only):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=f"mu={mu}")
+        runtime = [
+            np.concatenate(
+                [
+                    run_cascade(config, mu).table.ravel(),
+                    branch_photon_numbers(config, mu).ravel(),
+                    run_single(config, 1, mu).table.ravel(),
+                    run_single(config, 2, mu).table.ravel(),
+                ]
+            )
+            for mu in mus
+        ]
+        with_flip = dense_outputs(fiber_channel)
+        loss_only = dense_outputs(_loss_only_fiber)
+        for mu, a, b, c in zip(mus, with_flip, loss_only, runtime):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=f"flip, mu={mu}")
+            np.testing.assert_allclose(c, a, rtol=0, atol=1e-12, err_msg=f"runtime, mu={mu}")
+
+
+class TestSectorMatchesDense:
+    """The photon-number sector engine against the dense pipeline it replaced."""
+
+    @staticmethod
+    def _assert_matches(config, mu):
+        for nodes in ((1, 2), (1,), (2,)):
+            branches, numbers, clicks = dense_tables(config, mu, nodes)
+            dense = {bits: (p, np.real(np.diagonal(cond.matrix))) for bits, p, cond in branches}
+            sector = {bits: (p, n) for bits, p, n in protocol._node_branches(config, mu, nodes)}
+            assert sector.keys() == dense.keys(), nodes
+            for bits, (p, n) in dense.items():
+                assert sector[bits][0] == pytest.approx(p, abs=1e-12, rel=0)
+                np.testing.assert_allclose(sector[bits][1], n, rtol=0, atol=1e-12)
+            if nodes == (1, 2):
+                got = run_cascade(config, mu).table
+                np.testing.assert_allclose(branch_photon_numbers(config, mu), numbers, rtol=0, atol=1e-12)
+            else:
+                got = run_single(config, nodes[0], mu).table
+            np.testing.assert_allclose(got, clicks, rtol=0, atol=1e-12, err_msg=f"nodes {nodes}")
+
+    @pytest.mark.parametrize("mu", [0.0, 0.084, 0.45, 3.11])
+    def test_coherent_input(self, base_config, perfect_config, mu):
+        for config in (base_config, perfect_config):
+            self._assert_matches(config, mu)
+
+    @pytest.mark.parametrize("fock_n", [0, 1, 2, 3])
+    def test_fock_input(self, base_config, perfect_config, fock_n):
+        for config in (base_config, perfect_config):
+            self._assert_matches(replace(config, input_kind="fock", fock_n=fock_n), 0.0)
+
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(config=random_configs())
+    def test_random_configs(self, config):
+        self._assert_matches(config, config.mean_photon_sweep[0])
 
 
 class TestCondition:
