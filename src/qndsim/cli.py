@@ -38,6 +38,9 @@ _FIGURE_CELLS = {
 # Click-conditioned sweeps also report a dark-count-free variant of each cell
 # (figS1 always carries its own).
 _NODARK_FIGURES = ("fig3", "fig4")
+# The Monte Carlo oracle samples the full cascade; the single-node
+# characterization and the number sorter are reduced pipelines it does not run.
+_EXACT_ONLY_FIGURES = ("figS1", "sorter")
 # Failing cells that `compare` names in its report.
 _WORST_CELLS = 5
 
@@ -72,8 +75,6 @@ def _merge_nodark(
 
 
 def _single_node_table(config: ExperimentConfig) -> list[dict[str, float | None]]:
-    # The single-node characterization is cheap and exact-only; the Monte Carlo
-    # oracle samples the full cascade, not this reduced pipeline.
     def cells_for(mu: float) -> dict[str, float | None]:
         out: dict[str, float | None] = {"mu": mu}
         for node in (1, 2):
@@ -95,6 +96,8 @@ def _single_node_table(config: ExperimentConfig) -> list[dict[str, float | None]
 
 def build_figure(figure: str, config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
     """(header, rows) of the CSV for one figure selection."""
+    if config.mode == "monte_carlo" and figure in _EXACT_ONLY_FIGURES:
+        raise ConfigError(f"{figure} is exact-only; run it with --mode exact")
     if figure in ("fig2", "fig3", "fig4"):
         cells = _FIGURE_CELLS[figure]
         table = sweep_estimates(config)

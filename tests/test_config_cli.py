@@ -225,6 +225,16 @@ class TestCliMain:
         assert rc == 0
         assert (tmp_path / "figS1.csv").exists()
 
+    @pytest.mark.parametrize("figure", ["figS1", "sorter"])
+    def test_exact_only_figure_rejects_mc_mode(self, tmp_path, capsys, figure):
+        rc = main([figure, "--mode", "mc", "--trials", "1000", "--seed", "3", "--out", str(tmp_path)])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["category"] == "config"
+        assert error["message"].startswith(f"{figure} is exact-only")
+        assert not (tmp_path / f"{figure}.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("channel.transmission = 2.0\n")

@@ -11,7 +11,20 @@ from qndsim import montecarlo
 from qndsim.config import build_config, config_values
 from qndsim.errors import ConfigError
 from qndsim.estimators import CELLS, cells_from_distribution, quiet_detectors
-from qndsim.montecarlo import _F_FIBER, _F_LOST1, _F_LOST2, _simulate_arrays, estimate, g2_estimate
+from qndsim.montecarlo import (
+    _F_AHIT,
+    _F_BHIT,
+    _F_FIBER,
+    _F_LOST1,
+    _F_LOST2,
+    _atom_probabilities,
+    _distinct_rows,
+    _Model,
+    _simulate_arrays,
+    _sweep_stream,
+    estimate,
+    g2_estimate,
+)
 from qndsim.protocol import run_cascade
 
 
@@ -50,6 +63,63 @@ def reference_atom_probabilities(model, fate_counts, depolarized, c1, c2):
             probs += (wa * wb)[:, None, None] * np.abs(rotated) ** 2
     norm = probs.sum(axis=(1, 2))
     return probs / norm[:, None, None]
+
+
+def reference_simulate_arrays(config, mean_photon, trials):
+    """Reference: the sampler with its per-trial work, one kernel row per trial."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not mean_photon >= 0.0:  # false for NaN too
+        raise ConfigError(f"mean photon number must be >= 0, got {mean_photon}")
+    model = _Model.from_config(config)
+    seed = config.seed
+    stream = lambda name: _sweep_stream(seed, mean_photon, name)
+
+    prep1 = stream("prep1").random(trials) < model.prep[0]
+    prep2 = stream("prep2").random(trials) < model.prep[1]
+    if config.input_kind == "fock":
+        n = np.full(trials, config.fock_n, dtype=np.int64)
+    else:
+        n = stream("photon_number").poisson(mean_photon, size=trials)
+    depolarized = stream("depolarization").random(trials) < model.scramble
+
+    c1 = np.where(prep1[:, None], model.c_good[0][None, :], model.c_bad[0][None, :])
+    c2 = np.where(prep2[:, None], model.c_good[1][None, :], model.c_bad[1][None, :])
+    w = np.abs(c1[:, :, None] * c2[:, None, :]) ** 2
+    w = w.reshape(trials, 4)
+    w_cum = np.cumsum(w, axis=1)
+    u = stream("branch_label").random(trials) * w_cum[:, -1]
+    label = (u[:, None] >= w_cum).sum(axis=1)
+    x0, y0 = label // 2, label % 2
+
+    fate_counts = np.zeros((trials, 8), dtype=np.int64)
+    fate_rng = stream("fates")
+    for d in (0, 1):
+        for xx in (0, 1):
+            for yy in (0, 1):
+                sel = (depolarized.astype(int) == d) & (x0 == xx) & (y0 == yy)
+                if not np.any(sel):
+                    continue
+                fate_counts[sel] = fate_rng.multinomial(n[sel], model.prob[d, xx, yy])
+
+    probs = _atom_probabilities(model, fate_counts, depolarized, c1, c2)
+    flat = probs.reshape(trials, 4).cumsum(axis=1)
+    r = stream("atom_outcome").random(trials) * flat[:, -1]
+    z = np.minimum((r[:, None] >= flat).sum(axis=1), 3)
+    z1, z2 = z // 2, z % 2
+    s1_up = (z1 == 0) ^ (stream("readout1").random(trials) < 1.0 - model.readout[0])
+    s2_up = (z2 == 0) ^ (stream("readout2").random(trials) < 1.0 - model.readout[1])
+    click_a = (fate_counts[:, _F_AHIT] > 0) | (stream("dark_a").random(trials) < model.p_dark[0])
+    click_b = (fate_counts[:, _F_BHIT] > 0) | (stream("dark_b").random(trials) < model.p_dark[1])
+    return {
+        "n": n,
+        "fate_counts": fate_counts,
+        "depolarized": depolarized,
+        "s1": s1_up,
+        "s2": s2_up,
+        "click_a": click_a,
+        "click_b": click_b,
+    }
 
 
 def kernel_inputs(config, mean_photon, trials):
@@ -117,6 +187,75 @@ class TestSampleIdentity:
         assert arrays.keys() == expected.keys()
         for key in expected:
             np.testing.assert_array_equal(arrays[key], expected[key], err_msg=key)
+
+
+def assert_same_samples(config, mean_photon, trials):
+    arrays = _simulate_arrays(config, mean_photon, trials)
+    expected = reference_simulate_arrays(config, mean_photon, trials)
+    assert arrays.keys() == expected.keys()
+    for key in expected:
+        np.testing.assert_array_equal(arrays[key], expected[key], err_msg=key)
+
+
+class TestSamplerMatchesReference:
+    """The sampler, grouped per distinct record, against the per-trial reference."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("mean_photon", [0.04, 0.45, 3.11])
+    def test_default_config(self, base_config, seed, mean_photon):
+        assert_same_samples(replace(base_config, seed=seed), mean_photon, 20_000)
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(config=random_configs())
+    def test_random_configs(self, config):
+        # Prep fidelities below 1 and scrambling above 0 make prep1, prep2
+        # and depolarized vary between trials, so each is part of the record.
+        assert_same_samples(config, config.mean_photon_sweep[0], 20_000)
+
+    @pytest.mark.parametrize("input_kind", ["coherent", "fock"])
+    def test_imperfect_preparation_and_scrambling(self, base_config, input_kind):
+        values = config_values(base_config)
+        values.update(
+            {
+                "input.kind": input_kind,
+                "input.fock_n": 3,
+                "node1.prep_fidelity": 0.9,
+                "node2.prep_fidelity": 0.8,
+                "channel.depolarization": 0.3,
+            }
+        )
+        assert_same_samples(build_config(values), 0.9, 20_000)
+
+
+class TestGroupingIsExact:
+    """Records whose mixed-radix key would pass int64 are still grouped exactly."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mean_photon", [1000.0, 3000.0])
+    def test_thousands_of_photons(self, base_config, mean_photon):
+        # At 3000 the key passes 2^62 and the dense-id merge runs. At these
+        # photon numbers the kernel's normalization underflows for every
+        # record, so the samples alone cannot show a wrong grouping;
+        # test_rows_past_an_int64_key checks the grouping itself.
+        assert_same_samples(base_config, mean_photon, 2_000)
+
+    def test_largest_fock_input(self, base_config):
+        values = config_values(base_config)
+        values.update({"input.kind": "fock", "input.fock_n": 24, "node2.prep_fidelity": 0.9})
+        assert_same_samples(build_config(values), 0.0, 20_000)
+
+    @pytest.mark.parametrize("top", [2**16 - 1, 2**63 - 1])
+    def test_rows_past_an_int64_key(self, top):
+        # Base 2^16 per count column puts the key's bound at 2^131 over the
+        # 11 columns: a key that wraps would drop every column past the fourth.
+        rng = np.random.default_rng(5)
+        counts = rng.choice(np.array([0, 1, top]), size=(2_000, 8))
+        flags = rng.random((2_000, 3)) < 0.5
+        columns = [*counts.T, *flags.T]
+        first, inverse = _distinct_rows(columns)
+        table = np.column_stack(columns).astype(np.int64)
+        np.testing.assert_array_equal(table[first][inverse], table)
+        assert first.size == np.unique(table, axis=0).shape[0]
 
 
 @pytest.mark.parametrize("trials", [0, -1])
