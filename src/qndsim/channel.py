@@ -51,12 +51,12 @@ def fiber_channel(state: JointState, mode: str, params: ChannelParams) -> JointS
     collective per-pulse effect and lives in the protocol engine, keyed off
     scramble_probability.
 
-    The flip never changes a cascade output: the later channels keep the
-    photon-number difference of every coherence and all measurements are
-    number-diagonal, so only populations are read. The protocol engine runs
-    on that number-diagonal sector, where the flip is the identity, so it
-    never calls this function; the number sorter does, and the flip is
-    visible in its full output state SorterResult.state.
+    The flip never changes a cascade or sorter output: the later channels
+    keep the photon-number difference of every coherence and all measurements
+    are number-diagonal, so only populations are read. The protocol engine
+    and the number sorter run on that sector, where the flip is the identity,
+    so neither calls this function; it serves the dense reference pipelines
+    they are tested against.
     """
     out = loss_channel(state, mode, params.transmission)
     q = params.scramble_probability

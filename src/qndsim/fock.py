@@ -3,8 +3,8 @@
 States are dense complex density matrices. All channel operations are pure
 functions returning new, immutable states; trace is preserved to 1e-12 and
 positivity to an eigenvalue floor of -1e-10 (floating-point channels). The
-protocol engine keeps only the photon-number-diagonal blocks of its states;
-_check_blocks validates those stacks to the same tolerances.
+protocol engine and the sorter keep only the photon-number-diagonal blocks of
+their states; _check_blocks validates those stacks to the same tolerances.
 
 Every state is checked when it is built, on the principal submatrix of its
 support (the indices whose row or column holds a nonzero entry): finite
@@ -36,9 +36,9 @@ MIN_PROBABILITY = 1e-12
 
 # Positivity checks cost O(dim^3); skip them above this dimension (the
 # two-mode states inside the detector split). The split's single-mode input
-# and the reduced states it measures, and the sorter's qubit-mode states, stay
-# well below it; the protocol's number-diagonal blocks are checked by
-# _check_blocks instead.
+# and the reduced states it measures, and the sorter's diagonal output states,
+# stay well below it; the number-diagonal blocks of the protocol engine and
+# the sorter are checked by _check_blocks instead.
 _POSITIVITY_DIM_LIMIT = 128
 
 
@@ -142,32 +142,32 @@ class FockSpace:
             return 0.0
         return _poisson_sf(self.n_max, mean_photon)
 
-    def validate_mean_photon(self, mean_photon: float, tol: float = TRUNCATION_TAIL_TOL) -> None:
+    def validate_mean_photon(self, mean_photon: float) -> None:
         tail = self.tail_probability(mean_photon)
-        if tail >= tol:
-            needed = FockSpace.required_cutoff(mean_photon, tol)
+        if tail >= TRUNCATION_TAIL_TOL:
+            needed = FockSpace.required_cutoff(mean_photon)
             raise TruncationError(
-                f"mean photon number {mean_photon} has truncated tail {tail:.3e} >= {tol} "
-                f"at n_max={self.n_max}; requires n_max={needed}"
+                f"mean photon number {mean_photon} has truncated tail {tail:.3e} >= "
+                f"{TRUNCATION_TAIL_TOL} at n_max={self.n_max}; requires n_max={needed}"
             )
 
     @staticmethod
     @lru_cache(maxsize=None)
-    def required_cutoff(mean_photon: float, tol: float = TRUNCATION_TAIL_TOL) -> int:
+    def required_cutoff(mean_photon: float) -> int:
         if mean_photon == 0.0:
             return 1
         for n in range(1, N_MAX_CAP + 1):
-            if _poisson_sf(n, mean_photon) < tol:
+            if _poisson_sf(n, mean_photon) < TRUNCATION_TAIL_TOL:
                 return n
         raise TruncationError(
             f"mean photon number {mean_photon} needs n_max > cap {N_MAX_CAP} "
-            f"for tail < {tol}"
+            f"for tail < {TRUNCATION_TAIL_TOL}"
         )
 
     @classmethod
-    def for_mean_photon(cls, mean_photon: float, tol: float = TRUNCATION_TAIL_TOL) -> "FockSpace":
-        """Smallest cutoff whose Poisson tail is below tol, capped at N_MAX_CAP."""
-        return cls(cls.required_cutoff(mean_photon, tol))
+    def for_mean_photon(cls, mean_photon: float) -> "FockSpace":
+        """Smallest cutoff whose Poisson tail is below TRUNCATION_TAIL_TOL, capped at N_MAX_CAP."""
+        return cls(cls.required_cutoff(mean_photon))
 
 
 @dataclass(frozen=True)
@@ -458,11 +458,11 @@ def partial_trace(state: JointState, keep: Sequence[str]) -> JointState:
 
 
 def measure_diagonal(
-    state: JointState, label: str, weights: np.ndarray, min_probability: float = MIN_PROBABILITY
+    state: JointState, label: str, weights: np.ndarray
 ) -> tuple[float, JointState | None]:
     """Probability and conditional state for a diagonal POVM element on one subsystem.
 
-    The measured subsystem is consumed. Probabilities below min_probability are
+    The measured subsystem is consumed. Probabilities below MIN_PROBABILITY are
     numerically indistinguishable from zero, so (p, None) is returned and the
     conditional is undefined.
     """
@@ -481,7 +481,7 @@ def measure_diagonal(
     reduced = np.ascontiguousarray(reduced).reshape(rest, rest)
     reduced = (reduced + reduced.conj().T) / 2.0  # exact result is Hermitian
     p = float(np.real(np.trace(reduced)))
-    if p < min_probability:
+    if p < MIN_PROBABILITY:
         return max(p, 0.0), None
     labels = tuple(l for i, l in enumerate(state.labels) if i != pos)
     kinds = tuple(x for i, x in enumerate(state.kinds) if i != pos)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, QndsimError
 from .estimators import CELL_PREDICATES, CELLS, G2_CONDITIONS, G2Row
 from .node import rotation_matrix
 from .protocol import ExperimentConfig, Outcome
@@ -278,6 +278,13 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     probs = _atom_probabilities(
         model, fate_counts[first], depolarized[first], c1[p1[first]], c2[p2[first]]
     )
+    # Past a few hundred photons the normalization underflows to 0 (NaN rows).
+    lost = int((~np.isfinite(probs).all(axis=(1, 2))).sum())
+    if lost:
+        raise QndsimError(
+            f"Monte Carlo outcome probabilities underflow at mean photon number {mean_photon}: "
+            f"{lost} of {len(first)} distinct trial records have no finite probabilities"
+        )
     flat = probs.reshape(-1, 4).cumsum(axis=1)[inverse]
     r = stream("atom_outcome").random(trials) * flat[:, -1]
     z = np.minimum(_threshold_index(r, flat), 3)

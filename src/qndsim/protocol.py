@@ -14,7 +14,7 @@ acts on it through a transfer derived from its cached Kraus family. Atomic
 readout is applied before the photon counting; all measurement channels act
 on disjoint subsystems, so this ordering does not affect the joint table.
 Each readout branch hands its photon-number distribution to the detector
-split as a diagonal photon state.
+split as a diagonal photon state; the number sorter runs on the same sector.
 """
 
 from __future__ import annotations
@@ -203,6 +203,12 @@ def _reflection_transfer(dim: int, pair: ReflectionPair, contrast: float = 1.0) 
     return out
 
 
+def _loss_transfer(dim: int, transmissivity: float) -> np.ndarray:
+    """Loss on the sector: a reflection of amplitude sqrt(T) on both branches of any qubit."""
+    r = math.sqrt(transmissivity)
+    return _reflection_transfer(dim, ReflectionPair(r, r))
+
+
 def _on_qubit(blocks: np.ndarray, transfer: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a one-qubit transfer T[x, y, m, n] to the given qubit of every block."""
     k = blocks.shape[1].bit_length() - 1
@@ -231,11 +237,6 @@ def _propagate(
         _check_blocks(blocks, what)
         return blocks
 
-    def loss(transmissivity: float) -> np.ndarray:
-        # Loss is a reflection of amplitude sqrt(T) on both branches of any qubit.
-        r = math.sqrt(transmissivity)
-        return _reflection_transfer(dim, ReflectionPair(r, r))
-
     def reflection(node: NodeConfig) -> np.ndarray:
         return _reflection_transfer(dim, node.pair(), node.imperfections.reflection_contrast)
 
@@ -243,7 +244,7 @@ def _propagate(
     stages = []
     if 1 in nodes:
         stages.append(("node 1 reflection", reflection(config.node1), nodes.index(1)))
-    stages.append(("fiber", loss(config.channel.transmission), 0))
+    stages.append(("fiber", _loss_transfer(dim, config.channel.transmission), 0))
     if 2 in nodes:
         # With probability q the pulse's polarization has scrambled in the
         # fiber (collectively, per pulse): that component reflects off the bare
@@ -252,7 +253,7 @@ def _propagate(
         scrambled = _reflection_transfer(dim, config.node2.empty_pair())
         mixed = (1.0 - q) * reflection(config.node2) + q * scrambled
         stages.append(("node 2 reflection", mixed, nodes.index(2)))
-    stages.append(("detection path", loss(config.detection_efficiency), 0))
+    stages.append(("detection path", _loss_transfer(dim, config.detection_efficiency), 0))
 
     pulses = [rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation()) for imp in imps]
     pulse = reduce(np.kron, pulses)
@@ -267,6 +268,26 @@ def _propagate(
     return checked(pulse @ blocks @ pulse.conj().T, "final pulses")
 
 
+def _read_atom(blocks: np.ndarray, f: float, what: str) -> list[tuple[int, float, np.ndarray]]:
+    """(bit, probability, conditional (dim, b/2, b/2) blocks) per readout of the leading atom.
+
+    Symmetric misassignment at readout fidelity f; bit 1 means 'up'. An
+    outcome below MIN_PROBABILITY is dropped; the others are checked as `what`.
+    """
+    dim, size = blocks.shape[:2]
+    split = blocks.reshape(dim, 2, size // 2, 2, size // 2)
+    out = []
+    # Weights on the qubit's up (index 0) and down states.
+    for up, (w0, w1) in ((0, (1.0 - f, f)), (1, (f, 1.0 - f))):
+        reduced = w0 * split[:, 0, :, 0] + w1 * split[:, 1, :, 1]
+        p_read = float(np.trace(reduced, axis1=1, axis2=2).real.sum())
+        if p_read >= MIN_PROBABILITY:
+            cond = reduced / p_read
+            _check_blocks(cond, what)
+            out.append((up, p_read, cond))
+    return out
+
+
 _Branch = tuple[tuple[int, ...], float, np.ndarray]
 
 
@@ -275,28 +296,20 @@ def _node_branches(
 ) -> list[_Branch]:
     """(readout bits, joint probability, photon numbers) of every reachable branch.
 
-    The atoms of the listed nodes are read in order, with symmetric
-    misassignment at each node's readout fidelity; bit 1 means 'up'. A branch
-    whose readout has conditional probability below MIN_PROBABILITY is dropped
-    together with every branch below it. The photon numbers are the
-    conditional number distribution of the branch.
+    The atoms of the listed nodes are read in order by _read_atom at each
+    node's readout fidelity. A branch whose readout has conditional
+    probability below MIN_PROBABILITY is dropped together with every branch
+    below it. The photon numbers are the conditional number distribution of
+    the branch.
     """
     branches = [((), 1.0, _propagate(config, mean_photon, nodes))]
     for k in nodes:
         f = config.node(k).imperfections.readout_fidelity
-        deeper = []
-        for bits, p, blocks in branches:
-            dim, size = blocks.shape[:2]
-            split = blocks.reshape(dim, 2, size // 2, 2, size // 2)
-            # Weights on the qubit's up (index 0) and down states.
-            for up, (w0, w1) in ((0, (1.0 - f, f)), (1, (f, 1.0 - f))):
-                reduced = w0 * split[:, 0, :, 0] + w1 * split[:, 1, :, 1]
-                p_read = float(np.trace(reduced, axis1=1, axis2=2).real.sum())
-                if p_read >= MIN_PROBABILITY:
-                    cond = reduced / p_read
-                    _check_blocks(cond, f"node {k} readout")
-                    deeper.append((bits + (up,), p * p_read, cond))
-        branches = deeper
+        branches = [
+            (bits + (up,), p * p_read, cond)
+            for bits, p, blocks in branches
+            for up, p_read, cond in _read_atom(blocks, f, f"node {k} readout")
+        ]
     return [(bits, p, blocks[:, 0, 0].real) for bits, p, blocks in branches]
 
 

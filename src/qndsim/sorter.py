@@ -3,6 +3,11 @@
 k cascaded nodes carry conditional phases theta_j = pi / 2^(j-1) per photon on
 the uncoupled branch; node j reads out the j-th binary digit of the photon
 number modulo 2^k, with the readout basis fed forward from earlier digits.
+
+Like the cascade (see qndsim.protocol) it runs on the photon-number sector:
+every sorter channel keeps n - m and every output reads the number diagonal,
+so between nodes the light is a photon-number distribution, each node acts on
+a (dim, 2, 2) stack of its atom's blocks, and the fiber's phase flip drops out.
 """
 
 from __future__ import annotations
@@ -13,28 +18,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, fiber_channel
+from .channel import ChannelParams
 from .errors import ConfigError
-from .fock import (
-    FockSpace,
-    JointState,
-    ModeState,
-    coherent_state,
-    fock_state,
-)
+from .fock import FockSpace, ModeState, _check_blocks, coherent_state, fock_state
 from .node import (
     CqedParams,
     NodeImperfections,
     ReflectionPair,
-    detect_state,
-    dephase,
     prepare,
-    reflect,
     reflection_coefficients,
-    rotate,
+    rotation_matrix,
 )
-
-HALF_PI = math.pi / 2.0
+from .protocol import HALF_PI, _loss_transfer, _on_qubit, _read_atom, _reflection_transfer
 
 
 @dataclass(frozen=True)
@@ -97,6 +92,10 @@ class SorterConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.input_kind not in ("coherent", "fock"):
             raise ConfigError(f"input_kind must be 'coherent' or 'fock', got {self.input_kind!r}")
+        if not (math.isfinite(self.mean_photon) and self.mean_photon >= 0):
+            raise ConfigError(f"mean_photon must be finite and >= 0, got {self.mean_photon}")
+        if self.fock_n < 0:
+            raise ConfigError(f"fock_n must be >= 0, got {self.fock_n}")
         if not self.ideal and self.node_params is None:
             raise ConfigError("realistic mode requires per-node cavity parameters")
         for name in ("node_params", "imperfections"):
@@ -141,74 +140,48 @@ class SorterConfig:
 class SorterResult:
     herald: int  # estimated photon number in {0, ..., 2^k - 1}
     probability: float
-    state: ModeState
+    state: ModeState  # diagonal in photon number; no output reads coherences
     fidelity: float  # overlap with the nominal Fock state |herald>
 
 
-def _sorter_node(
-    state: JointState,
-    config: SorterConfig,
-    node_index: int,
-    prior_bits: tuple[int, ...],
-) -> list[tuple[int, float, JointState]]:
-    """Run one node; returns (digit, branch probability, post state) pairs."""
-    imp = config.node_imperfections(node_index)
-    qubit = f"q{node_index}"
-    state = _attach_qubit(state, qubit, prepare(imp.prep_fidelity))
-    state = rotate(state, qubit, "y", HALF_PI, imp.over_rotation())
-
-    state = reflect(state, qubit, "ph", config.gate_pair(node_index))
-    basis = feed_forward_basis(prior_bits, config.k)
-    state = dephase(state, qubit, imp.protocol_window, imp.t_coherence)
-    state = rotate(state, qubit, basis.azimuth, basis.angle, imp.over_rotation())
-    readout = detect_state(state, qubit, imp.readout_fidelity)
-    branches = []
-    for up in (False, True):
-        p = readout.probability(up)
-        post = readout.conditional_or_none(up)
-        if p <= 0.0 or post is None:
-            continue
-        bit = basis.up_means_bit if up else 1 - basis.up_means_bit
-        branches.append((bit, p, post))
-    return branches
-
-
-def _attach_qubit(state: JointState, label: str, qubit_matrix: np.ndarray) -> JointState:
-    return JointState(
-        (label,) + state.labels,
-        ("q",) + state.kinds,
-        (None,) + state.spaces,
-        np.kron(qubit_matrix, state.matrix),
-    )
-
-
 def run_sorter(config: SorterConfig) -> list[SorterResult]:
-    """Heralding probabilities and conditional output states for every label."""
-    initial = config.input_state().to_joint("ph")
-    results: dict[int, tuple[float, np.ndarray]] = {}
+    """Heralding probabilities and conditional output states for every label.
+
+    Each node runs the cascade engine's pulses, reflection transfer, dephasing
+    and atom readout on its (dim, 2, 2) stack; the fiber is the loss transfer.
+    """
     space = config.space()
-
-    def descend(state: JointState, node_index: int, bits: tuple[int, ...], weight: float) -> None:
-        if node_index > config.k:
-            herald = sum(b << i for i, b in enumerate(bits))
-            mode = state.mode_state("ph")
-            prob, accum = results.get(herald, (0.0, np.zeros((space.dim, space.dim), complex)))
-            results[herald] = (prob + weight, accum + weight * np.asarray(mode.matrix))
-            return
-        for bit, p, post in _sorter_node(state, config, node_index, bits):
-            if config.channel is not None and node_index < config.k:
-                post = fiber_channel(post, "ph", config.channel)
-            descend(post, node_index + 1, bits + (bit,), weight * p)
-
-    descend(initial, 1, (), 1.0)
+    transmission = config.channel.transmission if config.channel is not None else 1.0
+    fiber = _loss_transfer(space.dim, transmission)[0, 0].real
+    branches = [((), 1.0, config.input_state().number_distribution())]
+    for j in range(1, config.k + 1):
+        imp = config.node_imperfections(j)
+        pulse = rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation())
+        reflection = _reflection_transfer(space.dim, config.gate_pair(j))
+        v = imp.visibility()
+        deeper = []
+        for bits, weight, numbers in branches:
+            basis = feed_forward_basis(bits, config.k)
+            readout = rotation_matrix(basis.azimuth, basis.angle + imp.over_rotation())
+            light = numbers if j == 1 else fiber @ numbers
+            blocks = light[:, None, None] * prepare(imp.prep_fidelity)
+            blocks = pulse @ blocks @ pulse.conj().T
+            blocks = _on_qubit(blocks, reflection, 0) * np.array([[1.0, v], [v, 1.0]])
+            blocks = readout @ blocks @ readout.conj().T
+            _check_blocks(blocks, f"sorter node {j}")
+            for up, p, cond in _read_atom(blocks, imp.readout_fidelity, f"sorter node {j} readout"):
+                bit = basis.up_means_bit if up else 1 - basis.up_means_bit
+                deeper.append((bits + (bit,), weight * p, cond[:, 0, 0].real))
+        branches = deeper
+    heralds: dict[int, list[tuple[float, np.ndarray]]] = {}
+    for bits, weight, numbers in branches:
+        heralds.setdefault(sum(b << i for i, b in enumerate(bits)), []).append((weight, numbers))
     out = []
-    for herald in sorted(results):
-        prob, accum = results[herald]
-        if prob <= 0.0:
-            continue
-        mode = ModeState(space, accum / prob)
-        fidelity = float(np.real(mode.matrix[herald, herald])) if herald <= space.n_max else 0.0
-        out.append(SorterResult(herald, prob, mode, fidelity))
+    for herald, kept in sorted(heralds.items()):
+        prob = sum(w for w, _ in kept)
+        numbers = sum(w * n for w, n in kept) / prob
+        fidelity = float(numbers[herald]) if herald <= space.n_max else 0.0
+        out.append(SorterResult(herald, prob, ModeState(space, np.diag(numbers)), fidelity))
     return out
 
 

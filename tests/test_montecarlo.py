@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from conftest import random_configs
 from qndsim import montecarlo
 from qndsim.config import build_config, config_values
-from qndsim.errors import ConfigError
+from qndsim.errors import ConfigError, QndsimError
 from qndsim.estimators import CELLS, cells_from_distribution, quiet_detectors
 from qndsim.montecarlo import (
     _F_AHIT,
@@ -235,9 +235,13 @@ class TestGroupingIsExact:
     def test_thousands_of_photons(self, base_config, mean_photon):
         # At 3000 the key passes 2^62 and the dense-id merge runs. At these
         # photon numbers the kernel's normalization underflows for every
-        # record, so the samples alone cannot show a wrong grouping;
-        # test_rows_past_an_int64_key checks the grouping itself.
-        assert_same_samples(base_config, mean_photon, 2_000)
+        # grouped record, so the sampler refuses to draw rather than read each
+        # trial as both atoms up; test_rows_past_an_int64_key checks the
+        # grouping itself.
+        every_record = rf"mean photon number {mean_photon}: (\d+) of \1 distinct trial records"
+        with pytest.raises(QndsimError, match=every_record) as raised:
+            _simulate_arrays(base_config, mean_photon, 2_000)
+        assert raised.value.category == "runtime"
 
     def test_largest_fock_input(self, base_config):
         values = config_values(base_config)
