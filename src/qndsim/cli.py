@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from . import __version__
 from .config import default_config, parse_config, serialize_config
 from .errors import ConfigError, QndsimError
-from .estimators import EstimateTable, g2_table, quiet_detectors, sweep_estimates
+from .estimators import EstimateTable, g2_table, quiet_detectors, sweep_estimates, sweep_with_nodark
 from .protocol import ExperimentConfig, run_single
 from .sorter import SorterConfig, run_sorter
 
@@ -36,7 +36,8 @@ _FIGURE_CELLS = {
     "fig4": ("p_up2_given_click", "p_up2_given_up1_and_click"),
 }
 # Click-conditioned sweeps also report a dark-count-free variant of each cell
-# (figS1 always carries its own).
+# (figS1 always carries its own), so the absorbing detectors' dark counts can be
+# told apart from the nodes' own. Monte Carlo reads both from the same trials.
 _NODARK_FIGURES = ("fig3", "fig4")
 # The Monte Carlo oracle samples the full cascade; the single-node
 # characterization and the number sorter are reduced pipelines it does not run.
@@ -100,11 +101,11 @@ def build_figure(figure: str, config: ExperimentConfig) -> tuple[list[str], list
         raise ConfigError(f"{figure} is exact-only; run it with --mode exact")
     if figure in ("fig2", "fig3", "fig4"):
         cells = _FIGURE_CELLS[figure]
-        table = sweep_estimates(config)
-        rows = _table_rows(table, cells)
         if figure in _NODARK_FIGURES:
-            nodark = sweep_estimates(quiet_detectors(config))
-            rows = _merge_nodark(rows, nodark, cells)
+            table, nodark = sweep_with_nodark(config)
+            rows = _merge_nodark(_table_rows(table, cells), nodark, cells)
+        else:
+            rows = _table_rows(sweep_estimates(config), cells)
         header = list(rows[0].keys())
         return header, [[_format_number(r[k]) for k in header] for r in rows]
     if figure == "figS1":

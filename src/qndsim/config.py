@@ -15,7 +15,7 @@ from .channel import ChannelParams
 from .detectors import DetectorParams
 from .errors import ConfigError
 from .node import CqedParams, NodeImperfections
-from .protocol import ExperimentConfig, NodeConfig
+from .protocol import SEED_MAX, ExperimentConfig, NodeConfig
 
 DEFAULT_SWEEP = (0.04, 0.056, 0.084, 0.12, 0.2, 0.3, 0.45, 0.65, 0.9, 1.3, 1.8, 2.4, 3.11)
 
@@ -65,7 +65,7 @@ _KEYS: dict[str, _Entry] = {
     "input.fock_n": ("int", 0, None, 1),
     "run.mode": ("str", None, None, "exact"),
     "run.trials": ("int", 1, None, 100_000),
-    "run.seed": ("int", None, None, 12345),
+    "run.seed": ("int", 0, SEED_MAX, 12345),
 }
 
 _NODES = ("node1", "node2")
@@ -108,7 +108,10 @@ def _parse_value(key: str, raw: str, line_no: int) -> object:
     items = value if kind == "float_list" else (value,)
     if kind in ("float", "int", "float_list"):
         for item in items:
-            if math.isnan(item) or (math.isinf(item) and key not in _INFINITY_ALLOWED):
+            # Ints are finite; this guard also keeps huge ints out of float conversion.
+            if kind != "int" and (
+                math.isnan(item) or (math.isinf(item) and key not in _INFINITY_ALLOWED)
+            ):
                 raise ConfigError(f"line {line_no}: {key} = {item} is not a finite number")
             if lo is not None and item < lo:
                 raise ConfigError(f"line {line_no}: {key} = {item} below minimum {lo}")

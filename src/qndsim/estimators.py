@@ -94,11 +94,9 @@ def sweep_estimates(config: ExperimentConfig) -> EstimateTable:
     if config.mode == "monte_carlo":
         from . import montecarlo
 
-        rows = []
-        for mu in config.mean_photon_sweep:
-            est = montecarlo.estimate(config, mu, config.trials)
-            rows.append(EstimateRow(mu, est.values, est.stderrs, est.counts))
-        return EstimateTable(tuple(rows))
+        return _mc_table(
+            montecarlo.estimate(config, mu, config.trials) for mu in config.mean_photon_sweep
+        )
 
     rows = []
     for mu in config.mean_photon_sweep:
@@ -114,6 +112,29 @@ def quiet_detectors(config: ExperimentConfig) -> ExperimentConfig:
         config,
         detector_a=replace(config.detector_a, dark_rate=0.0),
         detector_b=replace(config.detector_b, dark_rate=0.0),
+    )
+
+
+def sweep_with_nodark(config: ExperimentConfig) -> tuple[EstimateTable, EstimateTable]:
+    """The sweep, and the same sweep on `quiet_detectors(config)`.
+
+    The exact engine runs both sweeps. The Monte Carlo oracle reads both tables
+    from one trial set per point (`montecarlo.estimate_with_nodark`), with the
+    samples a second sweep would draw.
+    """
+    if config.mode != "monte_carlo":
+        return sweep_estimates(config), sweep_estimates(quiet_detectors(config))
+    from . import montecarlo
+
+    dark, nodark = zip(
+        *(montecarlo.estimate_with_nodark(config, mu, config.trials) for mu in config.mean_photon_sweep)
+    )
+    return _mc_table(dark), _mc_table(nodark)
+
+
+def _mc_table(estimates) -> EstimateTable:
+    return EstimateTable(
+        tuple(EstimateRow(e.mean_photon, e.values, e.stderrs, e.counts) for e in estimates)
     )
 
 

@@ -53,7 +53,7 @@ def _mu_tag(mean_photon: float) -> int:
 def _sweep_stream(seed: int, mean_photon: float, name: str) -> np.random.Generator:
     # The trailing 2 is a fixed tag: changing it would change every seed's streams.
     counter = [0, _STAGES[name], _mu_tag(mean_photon), 2]
-    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1), counter=counter))
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 @dataclass(frozen=True)
@@ -326,10 +326,8 @@ def _cell_estimate(event: np.ndarray, given: np.ndarray | None) -> tuple[float |
     return p, math.sqrt(p * (1.0 - p) / n_eff), n_eff
 
 
-def estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> McEstimate:
-    """Monte Carlo estimates with binomial standard errors for every table cell."""
-    arrays = _simulate_arrays(config, mean_photon, trials)
-    trial = Outcome(arrays["s1"], arrays["s2"], arrays["click_a"], arrays["click_b"])
+def _tabulate(trial: Outcome, mean_photon: float, trials: int) -> McEstimate:
+    """Every table cell of one trial set, given as arrays of outcomes."""
     values: dict[str, float | None] = {}
     stderrs: dict[str, float | None] = {}
     counts: dict[str, int] = {}
@@ -339,6 +337,34 @@ def estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> McEst
             event(trial), None if given is None else given(trial)
         )
     return McEstimate(mean_photon, trials, values, stderrs, counts)
+
+
+def _outcomes(arrays: dict) -> Outcome:
+    return Outcome(arrays["s1"], arrays["s2"], arrays["click_a"], arrays["click_b"])
+
+
+def estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> McEstimate:
+    """Monte Carlo estimates with binomial standard errors for every table cell."""
+    arrays = _simulate_arrays(config, mean_photon, trials)
+    return _tabulate(_outcomes(arrays), mean_photon, trials)
+
+
+def estimate_with_nodark(
+    config: ExperimentConfig, mean_photon: float, trials: int
+) -> tuple[McEstimate, McEstimate]:
+    """`estimate`, and the same cells without the absorbing detectors' dark counts.
+
+    Both come from one trial set. The dark clicks are drawn by their own
+    streams and read by nothing else, and at dark rate 0 they are all false, so
+    there a detector clicks exactly when a photon hit it. The second estimate
+    is therefore `estimate(quiet_detectors(config), mean_photon, trials)`,
+    sample for sample.
+    """
+    arrays = _simulate_arrays(config, mean_photon, trials)
+    clicks = _outcomes(arrays)
+    fates = arrays["fate_counts"]
+    hits = clicks._replace(da=fates[:, _F_AHIT] > 0, db=fates[:, _F_BHIT] > 0)
+    return _tabulate(clicks, mean_photon, trials), _tabulate(hits, mean_photon, trials)
 
 
 def g2_estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> tuple[G2Row, ...]:

@@ -50,6 +50,8 @@ from .node import (
 )
 
 HALF_PI = math.pi / 2.0
+# Largest run seed: the Monte Carlo streams take it as a 64-bit Philox key.
+SEED_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be 'exact' or 'monte_carlo', got {self.mode!r}")
         if self.mode == "monte_carlo" and self.trials < 1:
             raise ConfigError(f"trials must be >= 1 in monte_carlo mode, got {self.trials}")
+        if not 0 <= self.seed <= SEED_MAX:
+            raise ConfigError(f"seed must be in [0, {SEED_MAX}], got {self.seed}")
         self.fock_space()  # fail fast on truncation-infeasible sweeps
 
     def node(self, index: int) -> NodeConfig:

@@ -120,6 +120,14 @@ class TestParseConfig:
         assert main(["table1", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out" / "table1.csv").exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 10**400])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # Seeds key 64-bit Philox streams: a wider seed would alias a valid one.
+        with pytest.raises(ConfigError, match="line 1: run.seed = "):
+            parse_config_text(f"run.seed = {seed}\n")
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 18446744073709551615\]"):
+            replace(default_config(), seed=seed)
+
     def test_mc_alias_normalized_by_config(self):
         assert parse_config_text("run.mode = mc\n").mode == "monte_carlo"
         assert replace(default_config(), mode="mc").mode == "monte_carlo"
@@ -234,6 +242,19 @@ class TestCliMain:
         assert error["message"].startswith(f"{figure} is exact-only")
         assert not (tmp_path / f"{figure}.csv").exists()
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        rc = main(["table1", "--mode", "mc", "--trials", "1000", "--seed", str(seed), "--out", str(tmp_path)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["category"] == "config"
+        assert not (tmp_path / "table1.csv").exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_64_bit_bounds_runs(self, tmp_path, seed):
+        rc = main(["table1", "--mode", "mc", "--trials", "1000", "--seed", str(seed), "--out", str(tmp_path)])
+        assert rc == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == seed
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import random_configs
-from qndsim import montecarlo
+from qndsim import cli, montecarlo
+from qndsim.cli import build_figure
 from qndsim.config import build_config, config_values
 from qndsim.errors import ConfigError, QndsimError
-from qndsim.estimators import CELLS, cells_from_distribution, quiet_detectors
+from qndsim.estimators import CELLS, cells_from_distribution, quiet_detectors, sweep_estimates
 from qndsim.montecarlo import (
     _F_AHIT,
     _F_BHIT,
@@ -23,6 +24,7 @@ from qndsim.montecarlo import (
     _simulate_arrays,
     _sweep_stream,
     estimate,
+    estimate_with_nodark,
     g2_estimate,
 )
 from qndsim.protocol import run_cascade
@@ -385,6 +387,104 @@ class TestEstimate:
         est = estimate(quiet_detectors(perfect_config), 0.0, 5_000)
         assert est.values["p_up1_given_click"] is None
         assert est.counts["p_up1_given_click"] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+def test_streams_keyed_by_the_seed(seed):
+    # Valid seeds keep the streams they had while every seed was masked to 64 bits.
+    for name, stage in montecarlo._STAGES.items():
+        counter = [0, stage, montecarlo._mu_tag(0.45), 2]
+        masked = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1), counter=counter))
+        np.testing.assert_array_equal(_sweep_stream(seed, 0.45, name).random(4), masked.random(4))
+
+
+def with_dark_rate(config, dark_rate):
+    return replace(
+        config,
+        detector_a=replace(config.detector_a, dark_rate=dark_rate),
+        detector_b=replace(config.detector_b, dark_rate=dark_rate),
+    )
+
+
+# p_dark = 1 - exp(-25000 * 2 us) = 0.049 per detector and trial: enough dark
+# clicks that every *_nodark column differs from its dark-count column.
+NOISY_DARK_RATE = 25_000.0
+
+
+def reference_mc_figure(figure, config):
+    """Reference: the *_nodark columns from a second sweep on quiet detectors."""
+    cells = cli._FIGURE_CELLS[figure]
+    rows = cli._table_rows(sweep_estimates(config), cells)
+    rows = cli._merge_nodark(rows, sweep_estimates(quiet_detectors(config)), cells)
+    header = list(rows[0])
+    return header, [[cli._format_number(r[k]) for k in header] for r in rows]
+
+
+class TestNodarkFromOneTrialSet:
+    """The dark-free cells read from the trials that give the dark-count cells."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("input_kind", ["coherent", "fock"])
+    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
+    def test_figure_matches_a_second_sweep(self, base_config, figure, input_kind, seed):
+        values = config_values(with_dark_rate(base_config, NOISY_DARK_RATE))
+        values.update(
+            {
+                "input.kind": input_kind,
+                "input.fock_n": 2,
+                "sweep.mu": (0.1, 0.45, 1.3),
+                "run.mode": "monte_carlo",
+                "run.trials": 4_000,
+                "run.seed": seed,
+            }
+        )
+        config = build_config(values)
+        header, rows = build_figure(figure, config)
+        assert (header, rows) == reference_mc_figure(figure, config)
+        for cell in cli._FIGURE_CELLS[figure]:
+            dark = [row[header.index(cell)] for row in rows]
+            nodark = [row[header.index(f"{cell}_nodark")] for row in rows]
+            assert dark != nodark, cell
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(config=random_configs())
+    def test_random_configs(self, config):
+        config = with_dark_rate(config, NOISY_DARK_RATE)
+        mu = config.mean_photon_sweep[0]
+        dark, nodark = estimate_with_nodark(config, mu, 4_000)
+        assert dark == estimate(config, mu, 4_000)
+        assert nodark == estimate(quiet_detectors(config), mu, 4_000)
+        assert nodark.values != dark.values
+
+
+class TestOneSimulationPerPoint:
+    SWEEP = (0.1, 0.45, 1.3)
+
+    @pytest.fixture
+    def simulated(self, monkeypatch):
+        """The mean photon number of every _simulate_arrays call, in order."""
+        seen = []
+        original = montecarlo._simulate_arrays
+
+        def counting(config, mean_photon, trials):
+            seen.append(mean_photon)
+            return original(config, mean_photon, trials)
+
+        monkeypatch.setattr(montecarlo, "_simulate_arrays", counting)
+        return seen
+
+    @pytest.fixture
+    def config(self, base_config):
+        return replace(base_config, mode="monte_carlo", trials=1_000, mean_photon_sweep=self.SWEEP)
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4"])
+    def test_sweep_figures(self, config, simulated, figure):
+        build_figure(figure, config)
+        assert simulated == list(self.SWEEP)
+
+    def test_table1(self, config, simulated):
+        build_figure("table1", config)
+        assert simulated == [0.45]
 
 
 class TestG2Estimate:
