@@ -230,10 +230,30 @@ def run(
 
 
 def _load_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    if not lines:
+        raise ConfigError(f"{path} is empty: no header row")
     header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+    rows = [line.split(",") for line in lines[1:]]
+    for index, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ConfigError(f"{path} row {index} has {len(row)} cells, header has {len(header)}")
+    return header, rows
+
+
+def _manifest_files(path: str) -> set[str]:
+    """Names of the files a run manifest lists."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return {f["name"] for f in json.load(fh)["files"]}
+    except OSError as exc:
+        raise ConfigError(f"cannot read manifest {path}: {exc.strerror}") from None
+    except (ValueError, KeyError, TypeError):
+        raise ConfigError(f"{path} is not a run manifest: no list of named files") from None
 
 
 def compare(manifest_a: str, manifest_b: str) -> dict:
@@ -246,12 +266,7 @@ def compare(manifest_a: str, manifest_b: str) -> dict:
     bound; a cell that cannot be differenced has diff None and ranks first.
     """
     reports = {}
-    with open(manifest_a, encoding="utf-8") as fh:
-        ma = json.load(fh)
-    with open(manifest_b, encoding="utf-8") as fh:
-        mb = json.load(fh)
-    files_a = {f["name"] for f in ma["files"]}
-    files_b = {f["name"] for f in mb["files"]}
+    files_a, files_b = _manifest_files(manifest_a), _manifest_files(manifest_b)
     if files_a != files_b:
         raise ConfigError(f"manifests list different files: {sorted(files_a)} vs {sorted(files_b)}")
     max_dev = 0.0

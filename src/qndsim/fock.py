@@ -35,10 +35,10 @@ N_MAX_CAP = 24
 MIN_PROBABILITY = 1e-12
 
 # Positivity checks cost O(dim^3); skip them above this dimension (the
-# two-mode states inside the detector split). The split's single-mode input
-# and the reduced states it measures, and the sorter's diagonal output states,
-# stay well below it; the number-diagonal blocks of the protocol engine and
-# the sorter are checked by _check_blocks instead.
+# two-mode state inside the detector split). The split's single-mode input
+# and the sorter's diagonal output states stay well below it; the
+# number-diagonal blocks of the protocol engine and the sorter are checked by
+# _check_blocks instead.
 _POSITIVITY_DIM_LIMIT = 128
 
 

@@ -151,10 +151,8 @@ def _atom_probabilities(
     nonzero; every other row keeps an exact factor 1, as amp^0 = 1 would give.
     Each atom's residual Z dephasing is the mixture of Z^0 and Z^1 with
     weights (1 + v)/2 and (1 - v)/2, so the (a, b) sum below adds the
-    probabilities of U1 Z^a psi Z^b U2^T. That product is written out on the
-    four (N,) components of psi: entry (i, l) is sum over (j, k) of
-    U1[i, j] U2[l, k] psi[j, k], with the sign (-1)^(a j + b k) folded into
-    the scalar coefficient.
+    probabilities of (U1 Z^a) psi (U2 Z^b)^T, one product with the
+    Kronecker factor of the two rotations per term.
     """
     n_trials = fate_counts.shape[0]
     depol = depolarized.astype(int)
@@ -164,7 +162,7 @@ def _atom_probabilities(
         if rows.size:
             base = model.amp[depol[rows], :, :, f]  # (M, 2, 2)
             factors[rows] *= np.power(base, fate_counts[rows, f][:, None, None])
-    psi = {(j, k): c1[:, j] * c2[:, k] * factors[:, j, k] for j in (0, 1) for k in (0, 1)}
+    psi = (c1[:, :, None] * c2[:, None, :] * factors).reshape(n_trials, 4)
 
     kept1 = fate_counts.sum(axis=1) - fate_counts[:, _F_LOST1]
     kept2 = kept1 - fate_counts[:, _F_FIBER] - fate_counts[:, _F_LOST2]
@@ -174,20 +172,14 @@ def _atom_probabilities(
     )
 
     u1, u2 = model.rotation
-    probs = np.zeros((n_trials, 2, 2))
-    for a in (0, 1):
-        wa = (1.0 + v1) / 2.0 if a == 0 else (1.0 - v1) / 2.0
-        for b in (0, 1):
-            wab = wa * ((1.0 + v2) / 2.0 if b == 0 else (1.0 - v2) / 2.0)
-            for i in (0, 1):
-                for l in (0, 1):
-                    rotated = sum(
-                        (-1) ** (a * j + b * k) * u1[i, j] * u2[l, k] * psi_jk
-                        for (j, k), psi_jk in psi.items()
-                    )
-                    probs[:, i, l] += wab * np.abs(rotated) ** 2
-    norm = probs.sum(axis=(1, 2))
-    return probs / norm[:, None, None]
+    probs = np.zeros((n_trials, 4))
+    # sa, sb = (-1)^a, (-1)^b: Z^a = diag(1, sa), with weight (1 + sa v1)/2.
+    for sa in (1.0, -1.0):
+        for sb in (1.0, -1.0):
+            w = (1.0 + sa * v1) / 2.0 * ((1.0 + sb * v2) / 2.0)
+            rotated = psi @ np.kron(u1 * [1.0, sa], u2 * [1.0, sb]).T
+            probs += w[:, None] * np.abs(rotated) ** 2
+    return (probs / probs.sum(axis=1)[:, None]).reshape(n_trials, 2, 2)
 
 
 def _distinct_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -235,9 +227,10 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     record (fate_counts row, depolarized, prep1, prep2), so `_atom_probabilities`
     runs once per distinct record: a few dozen at low mu, a few thousand at
     mu ~ 3 for 10^5 trials. This is exact, not an approximation: each row's
-    probabilities are computed element-wise from that row alone, so a trial
-    gets the same floats as from a per-trial call, and every stream draws the
-    same numbers in the same order.
+    probabilities are computed from that row alone, and every stream draws
+    the same numbers in the same order. (A batch of one row takes BLAS's
+    matrix-vector path, which may round the last bit differently; a sample
+    moves only if its uniform draw lands within that bit of a threshold.)
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")

@@ -1,8 +1,11 @@
 """Full two-detector cascade and single-detector characterization pipelines.
 
-Produces exact joint outcome distributions over the two atomic readouts and
-the two absorbing detectors, and the readout-resolved photon-number table
-P[s1, s2, n] that the g2 and no-light estimators read.
+The engine's one output is the readout-resolved photon-number table
+P[s..., n] (branch_photon_numbers): the joint probability of the atomic
+readouts and of n photons before the 50:50 split. Every exact figure reads
+it: the click tables (run_cascade, run_single) split each nonzero row onto
+the two detectors, conditioned_photon_state sums the kept rows, and the g2
+and no-light estimators read it directly.
 
 The engine runs on the photon-number-diagonal sector. Every cascade channel
 (loss, reflection, branch distinguishability, the fiber's phase flip,
@@ -13,8 +16,7 @@ state is one 2^k x 2^k block of the k atoms per photon number; each channel
 acts on it through a transfer derived from its cached Kraus family. Atomic
 readout is applied before the photon counting; all measurement channels act
 on disjoint subsystems, so this ordering does not affect the joint table.
-Each readout branch hands its photon-number distribution to the detector
-split as a diagonal photon state; the number sorter runs on the same sector.
+The number sorter runs on the same sector.
 """
 
 from __future__ import annotations
@@ -159,6 +161,8 @@ class JointDistribution:
         t = np.asarray(self.table, dtype=float)
         if t.shape != (2,) * len(self.axes):
             raise ValueError(f"table shape {t.shape} does not match axes {self.axes}")
+        if not np.isfinite(t).all():
+            raise ValueError(f"non-finite probability {t[~np.isfinite(t)][0]}")
         if np.any(t < -1e-12):
             raise ValueError(f"negative probability {t.min():.3e}")
         total = float(t.sum())
@@ -292,19 +296,16 @@ def _read_atom(blocks: np.ndarray, f: float, what: str) -> list[tuple[int, float
     return out
 
 
-_Branch = tuple[tuple[int, ...], float, np.ndarray]
-
-
-def _node_branches(
+def branch_photon_numbers(
     config: ExperimentConfig, mean_photon: float, nodes: Sequence[int] = (1, 2)
-) -> list[_Branch]:
-    """(readout bits, joint probability, photon numbers) of every reachable branch.
+) -> np.ndarray:
+    """P[bits..., n]: joint probability of the listed nodes' readouts and n photons before the split.
 
-    The atoms of the listed nodes are read in order by _read_atom at each
+    The engine's one output, of shape (2,) * len(nodes) + (dim,); every exact
+    estimator reads it. The atoms are read in order by _read_atom at each
     node's readout fidelity. A branch whose readout has conditional
     probability below MIN_PROBABILITY is dropped together with every branch
-    below it. The photon numbers are the conditional number distribution of
-    the branch.
+    below it, and its row is zero.
     """
     branches = [((), 1.0, _propagate(config, mean_photon, nodes))]
     for k in nodes:
@@ -314,18 +315,24 @@ def _node_branches(
             for bits, p, blocks in branches
             for up, p_read, cond in _read_atom(blocks, f, f"node {k} readout")
         ]
-    return [(bits, p, blocks[:, 0, 0].real) for bits, p, blocks in branches]
+    table = np.zeros((2,) * len(nodes) + (config.fock_space().dim,))
+    for bits, p, blocks in branches:
+        table[bits] = p * blocks[:, 0, 0].real
+    return table
 
 
 def _click_table(config: ExperimentConfig, mean_photon: float, nodes: Sequence[int]) -> np.ndarray:
     """Table over (one readout bit per listed node..., detector a, detector b)."""
-    table = np.zeros((2,) * (len(nodes) + 2))
+    numbers = branch_photon_numbers(config, mean_photon, nodes)
+    table = np.zeros(numbers.shape[:-1] + (2, 2))
     space = config.fock_space()
-    for bits, p, numbers in _node_branches(config, mean_photon, nodes):
-        photon = ModeState(space, np.diag(numbers)).to_joint("ph")
-        clicks = hbt_split_and_count(photon, "ph", config.detector_a, config.detector_b)
-        for (da, db), pc in clicks.items():
-            table[bits + (int(da), int(db))] += p * pc
+    for bits in np.ndindex(numbers.shape[:-1]):
+        p = numbers[bits].sum()
+        if p > 0.0:
+            photon = ModeState(space, np.diag(numbers[bits] / p)).to_joint("ph")
+            clicks = hbt_split_and_count(photon, "ph", config.detector_a, config.detector_b)
+            for (da, db), pc in clicks.items():
+                table[bits + (int(da), int(db))] = p * pc
     return table
 
 
@@ -333,18 +340,6 @@ def run_cascade(config: ExperimentConfig, mean_photon: float) -> JointDistributi
     """Exact 16-outcome table over (s1, s2, detector a, detector b)."""
     table = _click_table(config, mean_photon, (1, 2))
     return JointDistribution(("s1", "s2", "da", "db"), table)
-
-
-def branch_photon_numbers(config: ExperimentConfig, mean_photon: float) -> np.ndarray:
-    """P[s1, s2, n]: joint probability of both readouts and n photons before the split.
-
-    Every estimator that needs only the atomic outcomes and the photon-number
-    populations (conditioned g2, no-light rates) reads this one table.
-    """
-    table = np.zeros((2, 2, config.fock_space().dim))
-    for bits, p, numbers in _node_branches(config, mean_photon):
-        table[bits] = p * numbers
-    return table
 
 
 def run_single(config: ExperimentConfig, node_index: int, mean_photon: float) -> JointDistribution:
@@ -365,12 +360,12 @@ def conditioned_photon_state(
     is the normalized sum of the kept rows of branch_photon_numbers(), which
     the estimators read instead.
     """
-    kept = [
-        (p, numbers)
-        for (s1, s2), p, numbers in _node_branches(config, mean_photon)
-        if predicate(Outcome(bool(s1), bool(s2), False, False))
-    ]
-    total = sum(p for p, _ in kept)
+    numbers = branch_photon_numbers(config, mean_photon)
+    weights = np.zeros(numbers.shape[-1])
+    for s1, s2 in np.ndindex(2, 2):
+        if predicate(Outcome(bool(s1), bool(s2), False, False)):
+            weights += numbers[s1, s2]
+    total = weights.sum()
     if total <= 0.0:
         raise ZeroProbabilityError("conditioning on a zero-probability atomic predicate")
-    return ModeState(config.fock_space(), np.diag(sum(p * numbers for p, numbers in kept) / total))
+    return ModeState(config.fock_space(), np.diag(weights / total))

@@ -271,6 +271,29 @@ class TestCliMain:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "damage", ["missing_manifest", "manifest_without_files", "missing_csv", "empty_csv", "short_row"]
+    )
+    def test_compare_bad_input_exits_2(self, tmp_path, capsys, base_config, damage):
+        small = replace(base_config, mean_photon_sweep=(0.084,))
+        run("fig2", small, str(tmp_path / "a"))
+        run("fig2", small, str(tmp_path / "b"))
+        broken = tmp_path / "b" / ("manifest.json" if "manifest" in damage else "fig2.csv")
+        if damage == "manifest_without_files":
+            broken.write_text(json.dumps({"figure": "fig2"}))
+        elif damage == "empty_csv":
+            broken.write_text("")
+        elif damage == "short_row":
+            header, row = broken.read_text().splitlines()
+            broken.write_text(f"{header}\n{row.rsplit(',', 2)[0]}\n")
+        else:
+            broken.unlink()
+        rc = main(["compare", str(tmp_path / "a" / "manifest.json"), str(tmp_path / "b" / "manifest.json")])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["category"] == "config"
+        assert str(broken) in error["message"]
+
     def test_mc_figure_deterministic(self, tmp_path, base_config):
         small = replace(base_config, mean_photon_sweep=(0.084,))
         run("fig3", small, str(tmp_path / "a"), mode="mc", trials=20_000, seed=99)

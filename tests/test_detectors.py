@@ -3,13 +3,49 @@ import math
 import numpy as np
 import pytest
 
-from conftest import click_probability, thermal_state
+from conftest import (
+    click_probability,
+    random_density_matrix,
+    random_mode_state,
+    random_qubit_mode_state,
+    thermal_state,
+)
 from qndsim.detectors import DetectorParams, hbt_split_and_count, no_click_weights
 from qndsim.errors import ConfigError
-from qndsim.fock import FockSpace, beam_splitter, coherent_state, fock_state, measure_diagonal
+from qndsim.fock import FockSpace, JointState, beam_splitter, coherent_state, fock_state, measure_diagonal
 
 IDEAL = DetectorParams(efficiency=1.0, dark_rate=0.0, gate_window=2.0)
 SNSPD = DetectorParams(efficiency=0.9, dark_rate=40.0, gate_window=2.0)
+# Detector pairs for the split reference: ideal, the default model, and an
+# unequal pair with strong dark counts.
+PAIRS = {
+    "ideal": (IDEAL, IDEAL),
+    "snspd": (SNSPD, SNSPD),
+    "unequal": (DetectorParams(0.55, 3e4, 3.0), DetectorParams(0.8, 0.0, 2.0)),
+}
+
+
+def reference_split_and_count(state, mode, params_a, params_b):
+    """The split read as a chain of measure_diagonal calls on conditional states.
+
+    The no-click probability of b given no click at a comes from the
+    conditional state after a; the click outcomes follow by differences,
+    clamped at zero.
+    """
+    space = state.space(mode)
+    anc = f"{mode}_hbt"
+    split = beam_splitter(state.with_vacuum_ancilla(space, anc), mode, anc, 0.5)
+    w_no_a = no_click_weights(space.dim, params_a)
+    w_no_b = no_click_weights(space.dim, params_b)
+    p_no_a, rest = measure_diagonal(split, mode, w_no_a)
+    p_no_b, _ = measure_diagonal(split, anc, w_no_b)
+    p_no_no = 0.0 if rest is None else p_no_a * measure_diagonal(rest, anc, w_no_b)[0]
+    return {
+        (False, False): p_no_no,
+        (True, False): max(p_no_b - p_no_no, 0.0),
+        (False, True): max(p_no_a - p_no_no, 0.0),
+        (True, True): max(1.0 - p_no_a - p_no_b + p_no_no, 0.0),
+    }
 
 
 class TestDetectorParams:
@@ -110,6 +146,45 @@ class TestHbt:
         st = coherent_state(mu, FockSpace.for_mean_photon(mu)).to_joint("m")
         dist = hbt_split_and_count(st, "m", SNSPD, SNSPD)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+class TestSplitMatchesReference:
+    """The split's diagonal read against the measure_diagonal chain."""
+
+    @staticmethod
+    def assert_matches(state, mode, pair):
+        got = hbt_split_and_count(state, mode, *PAIRS[pair])
+        expected = reference_split_and_count(state, mode, *PAIRS[pair])
+        assert got.keys() == expected.keys()
+        for outcome, p in expected.items():
+            assert got[outcome] == pytest.approx(p, abs=1e-12, rel=0), outcome
+
+    @pytest.mark.parametrize("n_max", [1, 3, 6])
+    def test_random_mode_states(self, pair, n_max):
+        rng = np.random.default_rng(n_max)
+        for _ in range(3):
+            self.assert_matches(random_mode_state(rng, n_max).to_joint("m"), "m", pair)
+
+    @pytest.mark.parametrize("mode_first", [False, True])
+    def test_qubit_traced_out(self, pair, mode_first):
+        rng = np.random.default_rng(17)
+        for n_max in (2, 5):
+            if mode_first:
+                space = FockSpace(n_max)
+                dim = 2 * space.dim
+                state = JointState(("m", "q"), ("m", "q"), (space, None), random_density_matrix(rng, dim))
+            else:
+                state = random_qubit_mode_state(rng, n_max)
+            self.assert_matches(state, "m", pair)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4])
+    def test_fock_and_vacuum(self, pair, n):
+        self.assert_matches(fock_state(n, FockSpace(4)).to_joint("m"), "m", pair)
+
+    def test_coherent(self, pair):
+        mu = 3.11
+        self.assert_matches(coherent_state(mu, FockSpace.for_mean_photon(mu)).to_joint("m"), "m", pair)
 
 
 def test_no_click_weights_form():

@@ -37,11 +37,16 @@ def sigma_deviation(exact, mc, stderr):
 
 
 def reference_atom_probabilities(model, fate_counts, depolarized, c1, c2):
-    """Reference: the dense amplitude power and one einsum per dephasing term."""
+    """Reference: the two-atom density matrix, dephased and rotated, read on its diagonal.
+
+    Residual Z dephasing scales each atom's coherences by its visibility v;
+    the final pulses act as kron(U1, U2) on the four (x, y) branches.
+    """
     n_trials = fate_counts.shape[0]
     amp = model.amp[depolarized.astype(int)]  # (N, 2, 2, 8)
     factors = np.power(amp, fate_counts[:, None, None, :]).prod(axis=-1)  # (N, 2, 2)
-    psi = c1[:, :, None] * c2[:, None, :] * factors
+    psi = (c1[:, :, None] * c2[:, None, :] * factors).reshape(n_trials, 4)
+    rho = psi[:, :, None] * psi[:, None, :].conj()
 
     kept1 = fate_counts.sum(axis=1) - fate_counts[:, _F_LOST1]
     kept2 = kept1 - fate_counts[:, _F_FIBER] - fate_counts[:, _F_LOST2]
@@ -49,22 +54,15 @@ def reference_atom_probabilities(model, fate_counts, depolarized, c1, c2):
     v2 = model.visibility[1] * np.where(
         depolarized, 1.0, model.contrast[1] ** kept2
     )
+    x, y = np.divmod(np.arange(4), 2)
+    coherent1 = x[:, None] != x[None, :]
+    coherent2 = y[:, None] != y[None, :]
+    rho = rho * np.where(coherent1, v1[:, None, None], 1.0) * np.where(coherent2, v2[:, None, None], 1.0)
 
-    u1, u2 = model.rotation
-    probs = np.zeros((n_trials, 2, 2))
-    for a in (0, 1):
-        wa = (1.0 + v1) / 2.0 if a == 0 else (1.0 - v1) / 2.0
-        for b in (0, 1):
-            wb = (1.0 + v2) / 2.0 if b == 0 else (1.0 - v2) / 2.0
-            psi_ab = psi.copy()
-            if a:
-                psi_ab[:, 1, :] *= -1.0
-            if b:
-                psi_ab[:, :, 1] *= -1.0
-            rotated = np.einsum("ij,njk,lk->nil", u1, psi_ab, u2)
-            probs += (wa * wb)[:, None, None] * np.abs(rotated) ** 2
-    norm = probs.sum(axis=(1, 2))
-    return probs / norm[:, None, None]
+    u = np.kron(*model.rotation)
+    rho = u @ rho @ u.conj().T
+    probs = np.diagonal(rho, axis1=1, axis2=2).real.reshape(n_trials, 2, 2)
+    return probs / probs.sum(axis=(1, 2))[:, None, None]
 
 
 def reference_simulate_arrays(config, mean_photon, trials):
@@ -150,7 +148,7 @@ _EDGE_VALUES = {
 
 
 class TestAtomProbabilitiesKernel:
-    """The element-wise kernel against the einsum kernel it replaced."""
+    """The kernel's amplitude algebra against the two-atom density matrix."""
 
     @staticmethod
     def assert_kernels_agree(config, mean_photon, trials=20_000):

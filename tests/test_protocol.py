@@ -11,7 +11,6 @@ from qndsim.config import ideal_config
 from qndsim.detectors import hbt_split_and_count
 from qndsim.errors import ConfigError, ZeroProbabilityError
 from qndsim.estimators import G2_CONDITIONS, cells_from_distribution, g2_from_numbers, g2_table, snr
-from qndsim import protocol
 from qndsim.fock import JointState, loss_channel
 from qndsim.node import detect_state, dephase, prepare, reflect, rotate
 from qndsim.protocol import (
@@ -252,14 +251,19 @@ class TestSectorMatchesDense:
         for nodes in ((1, 2), (1,), (2,)):
             branches, numbers, clicks = dense_tables(config, mu, nodes)
             dense = {bits: (p, np.real(np.diagonal(cond.matrix))) for bits, p, cond in branches}
-            sector = {bits: (p, n) for bits, p, n in protocol._node_branches(config, mu, nodes)}
+            table = branch_photon_numbers(config, mu, nodes)
+            sector = {
+                bits: (table[bits].sum(), table[bits] / table[bits].sum())
+                for bits in np.ndindex(table.shape[:-1])
+                if table[bits].any()
+            }
             assert sector.keys() == dense.keys(), nodes
             for bits, (p, n) in dense.items():
                 assert sector[bits][0] == pytest.approx(p, abs=1e-12, rel=0)
                 np.testing.assert_allclose(sector[bits][1], n, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(table, numbers, rtol=0, atol=1e-12, err_msg=f"nodes {nodes}")
             if nodes == (1, 2):
                 got = run_cascade(config, mu).table
-                np.testing.assert_allclose(branch_photon_numbers(config, mu), numbers, rtol=0, atol=1e-12)
             else:
                 got = run_single(config, nodes[0], mu).table
             np.testing.assert_allclose(got, clicks, rtol=0, atol=1e-12, err_msg=f"nodes {nodes}")
@@ -290,6 +294,13 @@ class TestCondition:
         dist = JointDistribution(("x", "y"), table)
         assert dist.prob(lambda o: o.y) == pytest.approx(py, abs=1e-12)
         assert conditional(dist, lambda o: o.y, lambda o: o.x) == pytest.approx(py, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        table = np.full((2, 2), 0.25)
+        table[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite probability"):
+            JointDistribution(("x", "y"), table)
 
     def test_correlation_threshold_near_mu_02(self, base_config):
         cells = cells_from_distribution(run_cascade(base_config, 0.2))
