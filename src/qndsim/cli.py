@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import __version__
 from .config import default_config, parse_config, serialize_config
@@ -46,32 +46,25 @@ _EXACT_ONLY_FIGURES = ("figS1", "sorter")
 _WORST_CELLS = 5
 
 
-def _format_number(value: float | None) -> str:
+def _format(value: str | float | None) -> str:
+    """One CSV cell: absent is empty, text as it is, numbers to 15 significant digits."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     return format(float(value), ".15g")
 
 
-def _table_rows(table: EstimateTable, cells: tuple[str, ...]) -> list[dict[str, float | None]]:
+def _estimate_rows(tables: dict[str, EstimateTable], cells: tuple[str, ...]) -> list[dict[str, float | None]]:
+    """Per sweep point: mu, then each table's cells and stderrs, named with its suffix."""
     rows = []
-    for row in table.rows:
-        out: dict[str, float | None] = {"mu": row.mean_photon}
-        for cell in cells:
-            out[cell] = row.values[cell]
-            out[f"{cell}_stderr"] = row.stderrs[cell]
+    for point in zip(*(table.rows for table in tables.values())):
+        out: dict[str, float | None] = {"mu": point[0].mean_photon}
+        for suffix, row in zip(tables, point):
+            for cell in cells:
+                out[f"{cell}{suffix}"] = row.values[cell]
+                out[f"{cell}{suffix}_stderr"] = row.stderrs[cell]
         rows.append(out)
-    return rows
-
-
-def _merge_nodark(
-    rows: list[dict[str, float | None]],
-    nodark: EstimateTable,
-    cells: tuple[str, ...],
-) -> list[dict[str, float | None]]:
-    for row, nd in zip(rows, nodark.rows):
-        for cell in cells:
-            row[f"{cell}_nodark"] = nd.values[cell]
-            row[f"{cell}_nodark_stderr"] = nd.stderrs[cell]
     return rows
 
 
@@ -96,83 +89,52 @@ def _single_node_table(config: ExperimentConfig) -> list[dict[str, float | None]
 
 
 def build_figure(figure: str, config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
-    """(header, rows) of the CSV for one figure selection."""
+    """(header, rows) of the CSV for one figure selection.
+
+    Each figure is a list of {column: value} rows; the first row's keys are
+    the header, and every cell is formatted by `_format`.
+    """
     if config.mode == "monte_carlo" and figure in _EXACT_ONLY_FIGURES:
         raise ConfigError(f"{figure} is exact-only; run it with --mode exact")
-    if figure in ("fig2", "fig3", "fig4"):
-        cells = _FIGURE_CELLS[figure]
-        if figure in _NODARK_FIGURES:
-            table, nodark = sweep_with_nodark(config)
-            rows = _merge_nodark(_table_rows(table, cells), nodark, cells)
-        else:
-            rows = _table_rows(sweep_estimates(config), cells)
-        header = list(rows[0].keys())
-        return header, [[_format_number(r[k]) for k in header] for r in rows]
-    if figure == "figS1":
+    rows: list[dict[str, str | float | None]]
+    if figure in _NODARK_FIGURES:
+        table, nodark = sweep_with_nodark(config)
+        rows = _estimate_rows({"": table, "_nodark": nodark}, _FIGURE_CELLS[figure])
+    elif figure == "fig2":
+        rows = _estimate_rows({"": sweep_estimates(config)}, _FIGURE_CELLS[figure])
+    elif figure == "figS1":
         rows = _single_node_table(config)
-        quiet_rows = _single_node_table(quiet_detectors(config))
-        for row, quiet in zip(rows, quiet_rows):
+        for row, quiet in zip(rows, _single_node_table(quiet_detectors(config))):
             for node in (1, 2):
                 row[f"p_up{node}_given_click_nodark"] = quiet[f"p_up{node}_given_click"]
-        header = list(rows[0].keys())
-        return header, [[_format_number(r[k]) for k in header] for r in rows]
-    if figure == "table1":
+    elif figure == "table1":
         mu = 0.45 if 0.45 in config.mean_photon_sweep else config.mean_photon_sweep[-1]
-        header = ["condition", "g2_zero", "g2_zero_stderr", "g2_tau_ne0", "g2_tau_ne0_stderr", "tau_mode"]
-        out_rows = []
-        for row in g2_table(config, mu):
-            out_rows.append(
-                [
-                    row.condition,
-                    _format_number(row.g2_zero),
-                    _format_number(row.g2_zero_stderr),
-                    _format_number(row.g2_tau),
-                    _format_number(row.g2_tau_stderr),
-                    row.tau_mode,
-                ]
-            )
-        return header, out_rows
-    if figure == "sorter":
+        rows = [
+            {
+                "condition": row.condition,
+                "g2_zero": row.g2_zero,
+                "g2_zero_stderr": row.g2_zero_stderr,
+                "g2_tau_ne0": row.g2_tau,
+                "g2_tau_ne0_stderr": row.g2_tau_stderr,
+                "tau_mode": row.tau_mode,
+            }
+            for row in g2_table(config, mu)
+        ]
+    elif figure == "sorter":
         sorter_cfg = SorterConfig(k=2, input_kind="coherent", mean_photon=0.5, n_max=3)
-        header = ["herald", "probability", "fidelity", "mean_photon_out"]
-        out_rows = []
-        for res in run_sorter(sorter_cfg):
-            out_rows.append(
-                [
-                    str(res.herald),
-                    _format_number(res.probability),
-                    _format_number(res.fidelity),
-                    _format_number(res.state.mean_photon()),
-                ]
-            )
-        return header, out_rows
-    raise ConfigError(f"unknown figure {figure!r}; choose from {FIGURES}")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    figure: str
-    mode: str
-    trials: int
-    seed: int
-    artifact_version: str
-    timestamp: str
-    config_text: str
-    files: tuple[dict[str, str], ...]
-
-    def to_json(self) -> str:
-        payload = {
-            "artifact": "qndsim",
-            "artifact_version": self.artifact_version,
-            "figure": self.figure,
-            "mode": self.mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "timestamp": self.timestamp,
-            "config": self.config_text,
-            "files": list(self.files),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        rows = [
+            {
+                "herald": str(res.herald),
+                "probability": res.probability,
+                "fidelity": res.fidelity,
+                "mean_photon_out": res.state.mean_photon(),
+            }
+            for res in run_sorter(sorter_cfg)
+        ]
+    else:
+        raise ConfigError(f"unknown figure {figure!r}; choose from {FIGURES}")
+    header = list(rows[0])
+    return header, [[_format(row[column]) for column in header] for row in rows]
 
 
 def _sha256(path: str) -> str:
@@ -190,8 +152,11 @@ def run(
     mode: str | None = None,
     trials: int | None = None,
     seed: int | None = None,
-) -> RunManifest:
-    """Produce one figure CSV plus manifest.json in out_dir; given run settings override config's."""
+) -> dict:
+    """Write one figure CSV plus manifest.json to out_dir, and return the manifest.
+
+    Run settings that are given override the config's.
+    """
     overrides = {"mode": mode, "trials": trials, "seed": seed}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
@@ -206,18 +171,19 @@ def run(
             for row in rows:
                 fh.write(",".join(row) + "\n")
         created.append(csv_path)
-        manifest = RunManifest(
-            figure=figure,
-            mode=config.mode,
-            trials=config.trials,
-            seed=config.seed,
-            artifact_version=__version__,
-            timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            config_text=serialize_config(config),
-            files=({"name": os.path.basename(csv_path), "sha256": _sha256(csv_path)},),
-        )
+        manifest = {
+            "artifact": "qndsim",
+            "artifact_version": __version__,
+            "figure": figure,
+            "mode": config.mode,
+            "trials": config.trials,
+            "seed": config.seed,
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "config": serialize_config(config),
+            "files": [{"name": os.path.basename(csv_path), "sha256": _sha256(csv_path)}],
+        }
         with open(manifest_path, "w", encoding="utf-8") as fh:
-            fh.write(manifest.to_json() + "\n")
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         created.append(manifest_path)
         return manifest
     except BaseException:
@@ -352,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
             trials=args.trials,
             seed=args.seed,
         )
-        print(manifest.to_json())
+        print(json.dumps(manifest, indent=2, sort_keys=True))
         return 0
     except ConfigError as exc:
         print(json.dumps({"category": exc.category, "message": str(exc)}), file=sys.stderr)

@@ -52,7 +52,7 @@ class EstimateRow:
     mean_photon: float
     values: dict[str, float | None]
     stderrs: dict[str, float | None]
-    counts: dict[str, int] | None = None
+    counts: dict[str, int] | None = None  # Monte Carlo: the trials each cell accepted
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ def sweep_estimates(config: ExperimentConfig) -> EstimateTable:
     if config.mode == "monte_carlo":
         from . import montecarlo
 
-        return _mc_table(
-            montecarlo.estimate(config, mu, config.trials) for mu in config.mean_photon_sweep
+        return EstimateTable(
+            tuple(montecarlo.estimate(config, mu, config.trials) for mu in config.mean_photon_sweep)
         )
 
     rows = []
@@ -129,13 +129,7 @@ def sweep_with_nodark(config: ExperimentConfig) -> tuple[EstimateTable, Estimate
     dark, nodark = zip(
         *(montecarlo.estimate_with_nodark(config, mu, config.trials) for mu in config.mean_photon_sweep)
     )
-    return _mc_table(dark), _mc_table(nodark)
-
-
-def _mc_table(estimates) -> EstimateTable:
-    return EstimateTable(
-        tuple(EstimateRow(e.mean_photon, e.values, e.stderrs, e.counts) for e in estimates)
-    )
+    return EstimateTable(dark), EstimateTable(nodark)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, QndsimError
-from .estimators import CELL_PREDICATES, CELLS, G2_CONDITIONS, G2Row
+from .estimators import CELL_PREDICATES, CELLS, G2_CONDITIONS, EstimateRow, G2Row
 from .node import rotation_matrix
 from .protocol import ExperimentConfig, Outcome
 
@@ -177,7 +177,9 @@ def _atom_probabilities(
     for sa in (1.0, -1.0):
         for sb in (1.0, -1.0):
             w = (1.0 + sa * v1) / 2.0 * ((1.0 + sb * v2) / 2.0)
-            rotated = psi @ np.kron(u1 * [1.0, sa], u2 * [1.0, sb]).T
+            # einsum keeps each row's sum order whatever the batch size; a
+            # matmul would take the matrix-vector path for one row.
+            rotated = np.einsum("nj,ij->ni", psi, np.kron(u1 * [1.0, sa], u2 * [1.0, sb]))
             probs += w[:, None] * np.abs(rotated) ** 2
     return (probs / probs.sum(axis=1)[:, None]).reshape(n_trials, 2, 2)
 
@@ -228,9 +230,7 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     runs once per distinct record: a few dozen at low mu, a few thousand at
     mu ~ 3 for 10^5 trials. This is exact, not an approximation: each row's
     probabilities are computed from that row alone, and every stream draws
-    the same numbers in the same order. (A batch of one row takes BLAS's
-    matrix-vector path, which may round the last bit differently; a sample
-    moves only if its uniform draw lands within that bit of a threshold.)
+    the same numbers in the same order.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -297,15 +297,6 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     }
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    mean_photon: float
-    trials: int
-    values: dict[str, float | None]
-    stderrs: dict[str, float | None]
-    counts: dict[str, int]
-
-
 def _cell_estimate(event: np.ndarray, given: np.ndarray | None) -> tuple[float | None, float | None, int]:
     if given is None:
         n_eff = event.size
@@ -319,7 +310,7 @@ def _cell_estimate(event: np.ndarray, given: np.ndarray | None) -> tuple[float |
     return p, math.sqrt(p * (1.0 - p) / n_eff), n_eff
 
 
-def _tabulate(trial: Outcome, mean_photon: float, trials: int) -> McEstimate:
+def _tabulate(trial: Outcome, mean_photon: float) -> EstimateRow:
     """Every table cell of one trial set, given as arrays of outcomes."""
     values: dict[str, float | None] = {}
     stderrs: dict[str, float | None] = {}
@@ -329,22 +320,22 @@ def _tabulate(trial: Outcome, mean_photon: float, trials: int) -> McEstimate:
         values[cell], stderrs[cell], counts[cell] = _cell_estimate(
             event(trial), None if given is None else given(trial)
         )
-    return McEstimate(mean_photon, trials, values, stderrs, counts)
+    return EstimateRow(mean_photon, values, stderrs, counts)
 
 
 def _outcomes(arrays: dict) -> Outcome:
     return Outcome(arrays["s1"], arrays["s2"], arrays["click_a"], arrays["click_b"])
 
 
-def estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> McEstimate:
+def estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> EstimateRow:
     """Monte Carlo estimates with binomial standard errors for every table cell."""
     arrays = _simulate_arrays(config, mean_photon, trials)
-    return _tabulate(_outcomes(arrays), mean_photon, trials)
+    return _tabulate(_outcomes(arrays), mean_photon)
 
 
 def estimate_with_nodark(
     config: ExperimentConfig, mean_photon: float, trials: int
-) -> tuple[McEstimate, McEstimate]:
+) -> tuple[EstimateRow, EstimateRow]:
     """`estimate`, and the same cells without the absorbing detectors' dark counts.
 
     Both come from one trial set. The dark clicks are drawn by their own
@@ -357,7 +348,7 @@ def estimate_with_nodark(
     clicks = _outcomes(arrays)
     fates = arrays["fate_counts"]
     hits = clicks._replace(da=fates[:, _F_AHIT] > 0, db=fates[:, _F_BHIT] > 0)
-    return _tabulate(clicks, mean_photon, trials), _tabulate(hits, mean_photon, trials)
+    return _tabulate(clicks, mean_photon), _tabulate(hits, mean_photon)
 
 
 def g2_estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> tuple[G2Row, ...]:

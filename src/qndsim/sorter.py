@@ -79,10 +79,9 @@ class SorterConfig:
     mean_photon: float = 0.5
     fock_n: int = 0
     n_max: int | None = None  # input truncation; None picks the tail-safe cutoff
-    ideal: bool = True
-    # realistic mode: per-node cavity parameters (detunings chosen by the user);
-    # the nominal phase theta_j is applied exactly, with the amplitude penalty
-    # |r(params)| per branch.
+    # Realistic nodes: per-node cavity parameters (detunings chosen by the
+    # user); the nominal phase theta_j is applied exactly, with the amplitude
+    # penalty |r(params)| per branch. None gives ideal nodes.
     node_params: tuple[CqedParams, ...] | None = None
     imperfections: tuple[NodeImperfections, ...] | None = None
     channel: ChannelParams | None = None  # applied between consecutive nodes
@@ -96,8 +95,6 @@ class SorterConfig:
             raise ConfigError(f"mean_photon must be finite and >= 0, got {self.mean_photon}")
         if self.fock_n < 0:
             raise ConfigError(f"fock_n must be >= 0, got {self.fock_n}")
-        if not self.ideal and self.node_params is None:
-            raise ConfigError("realistic mode requires per-node cavity parameters")
         for name in ("node_params", "imperfections"):
             seq = getattr(self, name)
             if seq is not None and len(seq) != self.k:
@@ -108,9 +105,9 @@ class SorterConfig:
         return math.pi / 2.0 ** (node_index - 1)
 
     def gate_pair(self, node_index: int) -> ReflectionPair:
-        """Gate of node j, a reflection (|r_c|, |r_u| e^{i theta_j}); unit moduli when ideal."""
+        """Gate of node j, a reflection (|r_c|, |r_u| e^{i theta_j}); unit moduli without node_params."""
         r_c, r_u = 1.0, 1.0
-        if not self.ideal:
+        if self.node_params is not None:
             params = self.node_params[node_index - 1]
             r_c = abs(reflection_coefficients(params, coupled=True))
             r_u = abs(reflection_coefficients(params, coupled=False))

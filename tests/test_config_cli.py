@@ -1,12 +1,13 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import random_configs
-from qndsim.cli import build_figure, compare, main, run
+from qndsim.cli import FIGURES, build_figure, compare, main, run
 from qndsim.config import (
     build_config,
     config_values,
@@ -175,6 +176,40 @@ class TestFigureBuilders:
         assert [r[0] for r in rows] == ["0", "1", "2", "3"]
         probs = [float(r[1]) for r in rows]
         assert sum(probs) == pytest.approx(1.0, abs=1e-10)
+
+
+# The stored default-config CSVs that the benchmark's output check also reads.
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "default"
+
+
+def read_reference(figure):
+    header, *rows = (line.split(",") for line in (REFERENCE_DIR / f"{figure}.csv").read_text().splitlines())
+    return header, rows
+
+
+class TestCsvSchema:
+    """Every figure's header and cells against the stored reference CSVs."""
+
+    @pytest.mark.parametrize("figure", FIGURES)
+    def test_exact_figure_matches_reference(self, base_config, figure):
+        header, rows = build_figure(figure, base_config)
+        ref_header, ref_rows = read_reference(figure)
+        assert header == ref_header
+        assert len(rows) == len(ref_rows)
+        for index, (row, ref_row) in enumerate(zip(rows, ref_rows)):
+            for column, cell, ref_cell in zip(header, row, ref_row, strict=True):
+                try:
+                    diff = abs(float(cell) - float(ref_cell))
+                except ValueError:  # an empty cell or a text one
+                    assert cell == ref_cell, (index, column)
+                else:
+                    assert diff <= 1e-12, (index, column, cell, ref_cell)
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4", "table1"])
+    def test_monte_carlo_header_is_the_exact_one(self, base_config, figure):
+        config = replace(base_config, mode="monte_carlo", trials=2_000)
+        header, _ = build_figure(figure, config)
+        assert header == read_reference(figure)[0]
 
 
 class TestRunAndCompare:

@@ -175,6 +175,16 @@ class TestAtomProbabilitiesKernel:
     def test_many_photons(self, base_config):
         self.assert_kernels_agree(base_config, 3.11)
 
+    def test_one_row_equals_its_row_of_the_batch(self, base_config):
+        # About 1,500 distinct records; with a matmul in the kernel, half of
+        # the one-row calls differed from the batch in the last bit.
+        model, *rows = kernel_inputs(base_config, 3.11, 20_000)
+        batched = montecarlo._atom_probabilities(model, *rows)
+        one_by_one = np.concatenate(
+            [montecarlo._atom_probabilities(model, *(a[i : i + 1] for a in rows)) for i in range(len(batched))]
+        )
+        np.testing.assert_array_equal(one_by_one.view(np.uint64), batched.view(np.uint64))
+
 
 class TestSampleIdentity:
     @pytest.mark.parametrize("seed", [7, 11])
@@ -374,9 +384,10 @@ class TestEstimate:
 
     def test_coincidence_rate_order_of_magnitude(self, base_config):
         # reference coincidence fraction: 1068 triple events out of 4.7e5 runs
-        est = estimate(base_config, 0.04, 100_000)
+        trials = 100_000
+        est = estimate(base_config, 0.04, trials)
         v = est.values["p_and_given_click"]
-        click_rate = est.counts["p_up1_given_click"] / est.trials
+        click_rate = est.counts["p_up1_given_click"] / trials
         triple = v * click_rate
         reference = 1068 / 4.7e5
         assert reference / 3 <= triple <= reference * 3
@@ -412,10 +423,18 @@ NOISY_DARK_RATE = 25_000.0
 def reference_mc_figure(figure, config):
     """Reference: the *_nodark columns from a second sweep on quiet detectors."""
     cells = cli._FIGURE_CELLS[figure]
-    rows = cli._table_rows(sweep_estimates(config), cells)
-    rows = cli._merge_nodark(rows, sweep_estimates(quiet_detectors(config)), cells)
-    header = list(rows[0])
-    return header, [[cli._format_number(r[k]) for k in header] for r in rows]
+    header = ["mu"]
+    for suffix in ("", "_nodark"):
+        for cell in cells:
+            header += [f"{cell}{suffix}", f"{cell}{suffix}_stderr"]
+    rows = []
+    for dark, nodark in zip(sweep_estimates(config).rows, sweep_estimates(quiet_detectors(config)).rows):
+        row = [dark.mean_photon]
+        for estimate_row in (dark, nodark):
+            for cell in cells:
+                row += [estimate_row.values[cell], estimate_row.stderrs[cell]]
+        rows.append(["" if v is None else format(v, ".15g") for v in row])
+    return header, rows
 
 
 class TestNodarkFromOneTrialSet:

@@ -143,7 +143,6 @@ def sorter_configs(draw):
         )
     return SorterConfig(
         k=k,
-        ideal=ideal,
         node_params=node_params,
         imperfections=imperfections,
         channel=channel,
@@ -315,7 +314,6 @@ class TestRealisticMode:
             input_kind="coherent",
             mean_photon=0.5,
             n_max=3,
-            ideal=False,
             node_params=(params, params),
         )
         res = run_sorter(cfg)
@@ -323,10 +321,6 @@ class TestRealisticMode:
         # detuned cavities lose photons: heralds are no longer perfectly sharp
         by_label = {r.herald: r for r in res}
         assert by_label[1].fidelity < 1.0
-
-    def test_realistic_mode_requires_params(self):
-        with pytest.raises(ConfigError):
-            SorterConfig(k=2, ideal=False)
 
     def test_imperfect_readout_spreads_heralds(self):
         imp = NodeImperfections(readout_fidelity=0.99)
