@@ -15,6 +15,7 @@ scheduling and identical for identical (config, seed).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,8 @@ _STAGES = {
 
 
 def _mu_tag(mean_photon: float) -> int:
-    return int(np.float64(mean_photon).view(np.uint64))
+    # + 0.0 turns -0.0 into 0.0, so both key the same streams.
+    return int(np.float64(mean_photon + 0.0).view(np.uint64))
 
 
 def _sweep_stream(seed: int, mean_photon: float, name: str) -> np.random.Generator:
@@ -184,19 +186,23 @@ def _atom_probabilities(
     return (probs / probs.sum(axis=1)[:, None]).reshape(n_trials, 2, 2)
 
 
-def _distinct_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """One trial per distinct row of the columns, and each trial's row among them.
+def _distinct_rows(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """One member of each group of equal rows of the columns, and each row's group.
 
-    columns: (N,) arrays of non-negative integers or bools. Each column enters
-    a mixed-radix key with base max + 1, so equal keys mean equal rows. A
-    column that would take the key's bound past 2^62 is merged by sorting
-    instead: the new key numbers the distinct (key, column) pairs 0, 1, ...
-    So the key never overflows, whatever the counts.
+    columns: (N,) arrays of non-negative integers or bools, taken one at a
+    time, so a generator can gather each just before it is used. The first
+    column is the key; each later one enters it as a mixed-radix digit with
+    base max + 1, so equal keys mean equal rows. A column that would take the
+    key's bound past 2^62 is merged by sorting instead: the new key numbers
+    the distinct (key, column) pairs 0, 1, ... So the key never overflows,
+    whatever the counts. Which member of a group is returned is left open, so
+    the grouping needs no stable sort.
     """
-    key = np.zeros(columns[0].shape, dtype=np.int64)
-    bound = 1  # every key < bound; a Python int, so this check cannot overflow
+    columns = iter(columns)
+    key = next(columns).astype(np.int64)
+    bound = int(key.max(initial=0)) + 1  # every key < bound; a Python int, so no overflow
     for col in columns:
-        base = int(col.max()) + 1
+        base = int(col.max(initial=0)) + 1
         if bound * base <= 2**62:
             key, bound = key * base + col, bound * base
             continue
@@ -207,13 +213,10 @@ def _distinct_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         key = np.empty_like(key)
         key[order] = np.cumsum(new) - 1
         bound = int(new.sum())
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return first, inverse
-
-
-def _threshold_index(u: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
-    """Per row, how many of the four cumulative weights u reaches."""
-    return sum((u >= cumulative[:, j]).astype(np.int64) for j in range(4))
+    groups, inverse = np.unique(key, return_inverse=True)
+    member = np.empty(groups.size, dtype=np.intp)
+    member[inverse] = np.arange(inverse.size)
+    return member, inverse
 
 
 def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) -> dict:
@@ -224,13 +227,20 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     and the detector clicks "click_a"/"click_b".
 
     The deterministic work is done once per distinct input and gathered back
-    per trial. The branch-label weights depend only on (prep1, prep2), so they
-    come from a 2x2 table. The atom outcome probabilities depend only on the
-    record (fate_counts row, depolarized, prep1, prep2), so `_atom_probabilities`
-    runs once per distinct record: a few dozen at low mu, a few thousand at
-    mu ~ 3 for 10^5 trials. This is exact, not an approximation: each row's
-    probabilities are computed from that row alone, and every stream draws
-    the same numbers in the same order.
+    per trial, as 1-D columns of small tables. The branch-label weights depend
+    only on (prep1, prep2), so they come from a 4-row table. The atom outcome
+    probabilities depend only on the record (fate_counts row, depolarized,
+    prep1, prep2), so `_atom_probabilities` runs once per distinct record: a
+    few dozen at low mu, a few thousand at mu ~ 3 for 10^5 trials, always
+    including the eight photon-free records. The fates are drawn per branch
+    for the trials with photons only.
+
+    The samples are those of one draw and one computation per trial, in trial
+    order: every stream draws the same numbers in the same order, because
+    numpy's multinomial draws nothing for n = 0 and a stable sort keeps each
+    branch's trials in trial order; and any member of a record group gives
+    the same probabilities, because each row's probabilities are computed
+    from that row alone.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -251,39 +261,57 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     # Post-first-pulse amplitudes indexed by prep outcome (1 = prepared).
     c1 = np.stack([model.c_bad[0], model.c_good[0]])
     c2 = np.stack([model.c_bad[1], model.c_good[1]])
-    p1, p2 = prep1.astype(np.intp), prep2.astype(np.intp)
+    prep = 2 * prep1.astype(np.intp) + prep2
     w = np.abs(c1[:, None, :, None] * c2[None, :, None, :]) ** 2  # (prep1, prep2, x, y)
-    w_cum = np.cumsum(w.reshape(2, 2, 4), axis=-1)[p1, p2]
-    u = stream("branch_label").random(trials) * w_cum[:, -1]
-    label = _threshold_index(u, w_cum)  # x * 2 + y
+    w_cum = np.cumsum(w.reshape(4, 4), axis=-1).T  # (x * 2 + y, prep)
+    u = stream("branch_label").random(trials) * w_cum[3][prep]
+    label = sum((u >= col[prep]).astype(np.uint8) for col in w_cum)  # x * 2 + y
     branch = 2 * label + depolarized
 
     fate_counts = np.zeros((trials, 8), dtype=np.int64)
     fate_rng = stream("fates")
+    lit = np.flatnonzero(n)
+    lit_branch = branch[lit]
+    by_branch = lit[np.argsort(lit_branch, kind="stable")]
+    start = np.concatenate([[0], np.cumsum(np.bincount(lit_branch, minlength=8))])
     for d in (0, 1):
         for xx in (0, 1):
             for yy in (0, 1):
-                rows = np.flatnonzero(branch == 2 * (2 * xx + yy) + d)
+                k = 2 * (2 * xx + yy) + d
+                rows = by_branch[start[k] : start[k + 1]]
                 if rows.size:
                     fate_counts[rows] = fate_rng.multinomial(n[rows], model.prob[d, xx, yy])
 
-    first, inverse = _distinct_rows([*fate_counts.T, depolarized, prep1, prep2])
+    # A photon-free trial's fate counts are all zero, so its record is fixed
+    # by (depolarized, prep1, prep2) alone: table rows 0-7 hold those eight
+    # records, and only the trials with photons are grouped, into rows 8, 9, ...
+    record = 4 * depolarized + prep
+    member, group = _distinct_rows(column[lit] for column in (record, *fate_counts.T))
+    first = lit[member]
+    row_record = np.concatenate([np.arange(8), record[first]])
     probs = _atom_probabilities(
-        model, fate_counts[first], depolarized[first], c1[p1[first]], c2[p2[first]]
+        model,
+        np.concatenate([np.zeros((8, 8), dtype=np.int64), fate_counts[first]]),
+        row_record >= 4,
+        c1[row_record // 2 % 2],
+        c2[row_record % 2],
     )
     # Past a few hundred photons the normalization underflows to 0 (NaN rows).
     lost = int((~np.isfinite(probs).all(axis=(1, 2))).sum())
     if lost:
         raise QndsimError(
             f"Monte Carlo outcome probabilities underflow at mean photon number {mean_photon}: "
-            f"{lost} of {len(first)} distinct trial records have no finite probabilities"
+            f"{lost} of {len(member)} distinct trial records with photons have no finite probabilities"
         )
-    flat = probs.reshape(-1, 4).cumsum(axis=1)[inverse]
-    r = stream("atom_outcome").random(trials) * flat[:, -1]
-    z = np.minimum(_threshold_index(r, flat), 3)
-    z1, z2 = z // 2, z % 2
-    s1_up = (z1 == 0) ^ (stream("readout1").random(trials) < 1.0 - model.readout[0])
-    s2_up = (z2 == 0) ^ (stream("readout2").random(trials) < 1.0 - model.readout[1])
+    row = record.copy()
+    row[lit] = 8 + group
+    p_cum = probs.reshape(-1, 4).cumsum(axis=1).T  # (z1 * 2 + z2, table row)
+    r = stream("atom_outcome").random(trials) * p_cum[3][row]
+    # The cumulative weights do not decrease, so r reaches the last one only
+    # where it reaches all four; an outcome index capped at 3 skips that test.
+    z = sum((r >= col[row]).astype(np.uint8) for col in p_cum[:3])
+    s1_up = (z < 2) ^ (stream("readout1").random(trials) < 1.0 - model.readout[0])
+    s2_up = (z % 2 == 0) ^ (stream("readout2").random(trials) < 1.0 - model.readout[1])
     click_a = (fate_counts[:, _F_AHIT] > 0) | (stream("dark_a").random(trials) < model.p_dark[0])
     click_b = (fate_counts[:, _F_BHIT] > 0) | (stream("dark_b").random(trials) < model.p_dark[1])
     return {
@@ -297,30 +325,31 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     }
 
 
-def _cell_estimate(event: np.ndarray, given: np.ndarray | None) -> tuple[float | None, float | None, int]:
-    if given is None:
-        n_eff = event.size
-        k = int(event.sum())
-    else:
-        n_eff = int(given.sum())
-        if n_eff == 0:
-            return None, None, 0  # absent cell: no accepted trials
-        k = int((event & given).sum())
-    p = k / n_eff
-    return p, math.sqrt(p * (1.0 - p) / n_eff), n_eff
+# The 16 joint outcomes, at index 8 s1 + 4 s2 + 2 da + db, and each cell's
+# event and conditioning masks on them (an unconditioned cell accepts all 16).
+_GRID = Outcome(*np.indices((2, 2, 2, 2)).reshape(4, 16).astype(bool))
+_CELL_MASKS = {
+    cell: (event(_GRID), np.ones(16, dtype=bool) if given is None else given(_GRID))
+    for cell, (event, given) in CELL_PREDICATES.items()
+}
 
 
 def _tabulate(trial: Outcome, mean_photon: float) -> EstimateRow:
     """Every table cell of one trial set, given as arrays of outcomes."""
+    index = 8 * trial.s1.astype(np.intp) + 4 * trial.s2 + 2 * trial.da + trial.db
+    counts = np.bincount(index, minlength=16)
     values: dict[str, float | None] = {}
     stderrs: dict[str, float | None] = {}
-    counts: dict[str, int] = {}
+    accepted: dict[str, int] = {}
     for cell in CELLS:
-        event, given = CELL_PREDICATES[cell]
-        values[cell], stderrs[cell], counts[cell] = _cell_estimate(
-            event(trial), None if given is None else given(trial)
-        )
-    return EstimateRow(mean_photon, values, stderrs, counts)
+        event, given = _CELL_MASKS[cell]
+        n_eff = accepted[cell] = int(counts[given].sum())
+        if n_eff == 0:
+            values[cell] = stderrs[cell] = None  # absent cell: no accepted trials
+            continue
+        p = values[cell] = int(counts[event & given].sum()) / n_eff
+        stderrs[cell] = math.sqrt(p * (1.0 - p) / n_eff)
+    return EstimateRow(mean_photon, values, stderrs, accepted)
 
 
 def _outcomes(arrays: dict) -> Outcome:

@@ -90,7 +90,8 @@ class ExperimentConfig:
     seed: int = 12345
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mean_photon_sweep", tuple(self.mean_photon_sweep))
+        # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
+        object.__setattr__(self, "mean_photon_sweep", tuple(m + 0.0 for m in self.mean_photon_sweep))
         object.__setattr__(self, "mode", {"mc": "monte_carlo"}.get(self.mode, self.mode))
         if not self.mean_photon_sweep:
             raise ConfigError("mean photon sweep must be nonempty")

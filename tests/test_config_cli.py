@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import random_configs
+from qndsim import montecarlo
 from qndsim.cli import FIGURES, build_figure, compare, main, run
 from qndsim.config import (
     build_config,
@@ -328,6 +329,16 @@ class TestCliMain:
         error = json.loads(capsys.readouterr().err)
         assert error["category"] == "config"
         assert str(broken) in error["message"]
+
+    def test_negative_zero_mean_photon_is_zero(self, tmp_path):
+        # -0.0 passes the >= 0 check; it must serialize, key the Monte Carlo
+        # streams and write its CSV as 0.0 does.
+        configs = {text: parse_config_text(f"sweep.mu = {text}, 0.45\n") for text in ("0.0", "-0.0")}
+        assert serialize_config(configs["-0.0"]) == serialize_config(configs["0.0"])
+        for text, config in configs.items():
+            run("fig2", config, str(tmp_path / text), mode="mc", trials=1_000, seed=7)
+        assert (tmp_path / "-0.0" / "fig2.csv").read_bytes() == (tmp_path / "0.0" / "fig2.csv").read_bytes()
+        assert montecarlo._mu_tag(-0.0) == montecarlo._mu_tag(0.0)
 
     def test_mc_figure_deterministic(self, tmp_path, base_config):
         small = replace(base_config, mean_photon_sweep=(0.084,))

@@ -5,13 +5,21 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_configs
 from qndsim import cli, montecarlo
 from qndsim.cli import build_figure
 from qndsim.config import build_config, config_values
 from qndsim.errors import ConfigError, QndsimError
-from qndsim.estimators import CELLS, cells_from_distribution, quiet_detectors, sweep_estimates
+from qndsim.estimators import (
+    CELL_PREDICATES,
+    CELLS,
+    EstimateRow,
+    cells_from_distribution,
+    quiet_detectors,
+    sweep_estimates,
+)
 from qndsim.montecarlo import (
     _F_AHIT,
     _F_BHIT,
@@ -23,11 +31,12 @@ from qndsim.montecarlo import (
     _Model,
     _simulate_arrays,
     _sweep_stream,
+    _tabulate,
     estimate,
     estimate_with_nodark,
     g2_estimate,
 )
-from qndsim.protocol import run_cascade
+from qndsim.protocol import Outcome, run_cascade
 
 
 def sigma_deviation(exact, mc, stderr):
@@ -236,6 +245,22 @@ class TestSamplerMatchesReference:
         )
         assert_same_samples(build_config(values), 0.9, 20_000)
 
+    @pytest.mark.parametrize("input_kind", ["coherent", "fock"])
+    def test_photon_free_input(self, base_config, input_kind):
+        # No trial has photons, so no fate is drawn, every branch group is
+        # empty and every record is one of the eight photon-free ones.
+        values = config_values(base_config)
+        values.update(
+            {
+                "input.kind": input_kind,
+                "input.fock_n": 0,
+                "node1.prep_fidelity": 0.9,
+                "node2.prep_fidelity": 0.8,
+                "channel.depolarization": 0.3,
+            }
+        )
+        assert_same_samples(build_config(values), 0.0, 20_000)
+
 
 class TestGroupingIsExact:
     """Records whose mixed-radix key would pass int64 are still grouped exactly."""
@@ -270,6 +295,56 @@ class TestGroupingIsExact:
         table = np.column_stack(columns).astype(np.int64)
         np.testing.assert_array_equal(table[first][inverse], table)
         assert first.size == np.unique(table, axis=0).shape[0]
+
+
+def reference_tabulate(trial, mean_photon):
+    """Reference: each cell's predicates evaluated on every trial's outcome, then counted."""
+    values, stderrs, counts = {}, {}, {}
+    for cell in CELLS:
+        event, given = CELL_PREDICATES[cell]
+        hit = event(trial)
+        if given is None:
+            n_eff, k = hit.size, int(hit.sum())
+        else:
+            accepted = given(trial)
+            n_eff, k = int(accepted.sum()), int((hit & accepted).sum())
+        counts[cell] = n_eff
+        if n_eff == 0:
+            values[cell] = stderrs[cell] = None
+            continue
+        p = values[cell] = k / n_eff
+        stderrs[cell] = math.sqrt(p * (1.0 - p) / n_eff)
+    return EstimateRow(mean_photon, values, stderrs, counts)
+
+
+class TestTabulate:
+    """Cells from the 16-outcome count against the predicates evaluated per trial."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        trials=st.integers(1, 5_000),
+        rates=st.lists(st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]), min_size=4, max_size=4),
+    )
+    def test_random_outcomes(self, seed, trials, rates):
+        rng = np.random.default_rng(seed)
+        trial = Outcome(*(rng.random((4, trials)) < np.array(rates)[:, None]))
+        assert _tabulate(trial, 0.3) == reference_tabulate(trial, 0.3)
+
+    def test_conditioning_event_never_occurs(self):
+        rng = np.random.default_rng(3)
+        never = np.zeros(1_000, dtype=bool)
+        trial = Outcome(never, rng.random(1_000) < 0.5, never, never)
+        row = _tabulate(trial, 0.3)
+        assert row == reference_tabulate(trial, 0.3)
+        for cell in ("p_up2_given_up1", "p_up1_given_click", "p_up2_given_up1_and_click"):
+            assert (row.values[cell], row.stderrs[cell], row.counts[cell]) == (None, None, 0)
+
+    @pytest.mark.parametrize("outcome", range(16))
+    def test_single_trial(self, outcome):
+        bits = np.array([(outcome >> shift) & 1 for shift in (3, 2, 1, 0)], dtype=bool)
+        trial = Outcome(*bits[:, None])
+        assert _tabulate(trial, 0.3) == reference_tabulate(trial, 0.3)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
