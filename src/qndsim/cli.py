@@ -25,7 +25,7 @@ from . import __version__
 from .config import default_config, parse_config, serialize_config
 from .errors import ConfigError, QndsimError
 from .estimators import EstimateTable, g2_table, quiet_detectors, sweep_estimates, sweep_with_nodark
-from .protocol import ExperimentConfig, run_single
+from .protocol import ExperimentConfig, JointDistribution, run_single_each
 from .sorter import SorterConfig, run_sorter
 
 FIGURES = ("fig2", "fig3", "fig4", "table1", "figS1", "sorter")
@@ -68,24 +68,33 @@ def _estimate_rows(tables: dict[str, EstimateTable], cells: tuple[str, ...]) -> 
     return rows
 
 
-def _single_node_table(config: ExperimentConfig) -> list[dict[str, float | None]]:
-    def cells_for(mu: float) -> dict[str, float | None]:
-        out: dict[str, float | None] = {"mu": mu}
-        for node in (1, 2):
-            dist = run_single(config, node, mu)
-            p_click = dist.prob(lambda o: o.da or o.db)
-            p_up = dist.prob(lambda o: o.s)
-            out[f"p_up{node}"] = p_up
-            out[f"p_up{node}_stderr"] = 0.0
-            if p_click > 0:
-                val = dist.prob(lambda o: o.s and (o.da or o.db)) / p_click
-            else:
-                val = None
-            out[f"p_up{node}_given_click"] = val
-            out[f"p_up{node}_given_click_stderr"] = 0.0 if val is not None else None
-        return out
+def _up_given_click(dist: JointDistribution) -> float | None:
+    p_click = dist.prob(lambda o: o.da or o.db)
+    return dist.prob(lambda o: o.s and (o.da or o.db)) / p_click if p_click > 0 else None
 
-    return [cells_for(mu) for mu in config.mean_photon_sweep]
+
+def _single_node_table(config: ExperimentConfig) -> list[dict[str, float | None]]:
+    """figS1 rows: each node alone, with and without the absorbing detectors' dark counts.
+
+    The `_nodark` cells weight the same propagation and split with
+    `quiet_detectors(config)`'s detectors.
+    """
+    quiet = quiet_detectors(config)
+    detectors = [(config.detector_a, config.detector_b), (quiet.detector_a, quiet.detector_b)]
+    rows = []
+    for mu in config.mean_photon_sweep:
+        row: dict[str, float | None] = {"mu": mu}
+        nodark = {}
+        for node in (1, 2):
+            dist, quiet_dist = run_single_each(config, node, mu, detectors)
+            val = _up_given_click(dist)
+            row[f"p_up{node}"] = dist.prob(lambda o: o.s)
+            row[f"p_up{node}_stderr"] = 0.0
+            row[f"p_up{node}_given_click"] = val
+            row[f"p_up{node}_given_click_stderr"] = 0.0 if val is not None else None
+            nodark[f"p_up{node}_given_click_nodark"] = _up_given_click(quiet_dist)
+        rows.append(row | nodark)
+    return rows
 
 
 def build_figure(figure: str, config: ExperimentConfig) -> tuple[list[str], list[list[str]]]:
@@ -104,9 +113,6 @@ def build_figure(figure: str, config: ExperimentConfig) -> tuple[list[str], list
         rows = _estimate_rows({"": sweep_estimates(config)}, _FIGURE_CELLS[figure])
     elif figure == "figS1":
         rows = _single_node_table(config)
-        for row, quiet in zip(rows, _single_node_table(quiet_detectors(config))):
-            for node in (1, 2):
-                row[f"p_up{node}_given_click_nodark"] = quiet[f"p_up{node}_given_click"]
     elif figure == "table1":
         mu = 0.45 if 0.45 in config.mean_photon_sweep else config.mean_photon_sweep[-1]
         rows = [

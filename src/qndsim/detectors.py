@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,15 +44,15 @@ def no_click_weights(dim: int, params: DetectorParams) -> np.ndarray:
 def hbt_split_and_count(
     state: JointState,
     mode: str,
-    params_a: DetectorParams,
-    params_b: DetectorParams,
-) -> dict[tuple[bool, bool], float]:
-    """50:50 split of the mode onto two threshold detectors.
+    detectors: Sequence[tuple[DetectorParams, DetectorParams]],
+) -> np.ndarray:
+    """50:50 split of the mode onto two threshold detectors, once for every detector pair.
 
-    Returns the joint click distribution over (detector a, detector b); any
-    other subsystems of the state are traced out. Both detectors are diagonal
-    in photon number, so each outcome is the split state's number diagonal
-    P[n_a, n_b] contracted with one detector's no-click or click weights on
+    Returns table[i, da, db], the joint click distribution of detector a and
+    detector b (index 1 = click) under the i-th (a, b) pair; any other
+    subsystems of the state are traced out. Both detectors are diagonal in
+    photon number, so the mode is split once and each pair contracts the split
+    state's number diagonal P[n_a, n_b] with its no-click or click weights on
     each side.
     """
     space = state.space(mode)
@@ -61,7 +62,9 @@ def hbt_split_and_count(
     # The ancilla is the last subsystem; every other one but the mode is summed out.
     diagonal = np.diagonal(split.matrix).real.reshape(split.dims)
     numbers = np.moveaxis(diagonal, split.position(mode), 0).reshape(dim, -1, dim).sum(1)
-    no_a, no_b = no_click_weights(dim, params_a), no_click_weights(dim, params_b)
-    # Row 0 of each weight stack is 'no click', row 1 'click'.
-    table = np.stack([no_a, 1.0 - no_a]) @ numbers @ np.stack([no_b, 1.0 - no_b]).T
-    return {(bool(da), bool(db)): float(table[da, db]) for da, db in np.ndindex(2, 2)}
+    tables = np.empty((len(detectors), 2, 2))
+    for table, (params_a, params_b) in zip(tables, detectors):
+        no_a, no_b = no_click_weights(dim, params_a), no_click_weights(dim, params_b)
+        # Row 0 of each weight stack is 'no click', row 1 'click'.
+        table[...] = np.stack([no_a, 1.0 - no_a]) @ numbers @ np.stack([no_b, 1.0 - no_b]).T
+    return tables

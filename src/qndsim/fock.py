@@ -65,7 +65,11 @@ def _check_density(matrix: np.ndarray, what: str) -> None:
     # spectrum, so those checks run on the principal submatrix of the support.
     # The trace and the eigvalsh fallback read the whole matrix, so their
     # values and messages are exactly those of a dense check.
-    support = np.flatnonzero(matrix.any(0) | matrix.any(1))
+    # A nonzero column entry lies in a nonzero row, so the column test reads
+    # those rows only.
+    rows = matrix.any(1)
+    support = np.flatnonzero(rows | matrix[rows].any(0))
+    # np.ix_ gathers the submatrix without a support x dim intermediate.
     sub = matrix if support.size == len(matrix) else matrix[np.ix_(support, support)]
     herm = np.max(np.abs(sub - sub.conj().T), initial=0.0)
     # A non-finite entry is nonzero, so it lies in the support, and it makes
@@ -291,14 +295,12 @@ class JointState:
         return cls(tuple(labels), tuple(kinds), tuple(spaces), full)
 
     def with_vacuum_ancilla(self, space: FockSpace, label: str) -> "JointState":
-        anc = np.zeros((space.dim, space.dim), dtype=complex)
-        anc[0, 0] = 1.0
-        return JointState(
-            self.labels + (label,),
-            self.kinds + ("m",),
-            self.spaces + (space,),
-            np.kron(self.matrix, anc),
-        )
+        # The ancilla is the last subsystem, so |0><0| puts each entry of the
+        # matrix at stride dim: the values of np.kron(matrix, |0><0|).
+        d = space.dim
+        matrix = np.zeros((len(self.matrix) * d,) * 2, dtype=complex)
+        matrix[::d, ::d] = self.matrix
+        return JointState(self.labels + (label,), self.kinds + ("m",), self.spaces + (space,), matrix)
 
     def mode_state(self, label: str) -> ModeState:
         reduced = partial_trace(self, [label])
@@ -327,19 +329,28 @@ def _apply_channel(
     kraus = np.asarray(kraus_ops, dtype=complex)  # (K, dt, dt)
     # Target indices whose rows and columns are exactly zero (a vacuum
     # ancilla, a Fock input) contribute nothing, so the contraction runs over
-    # the input's support only.
-    support = np.flatnonzero(t.any(axis=(1, 2, 3)) | t.any(axis=(0, 1, 3)))
+    # the input's support only. A nonzero column entry lies in a nonzero row,
+    # so the column test reads those rows only.
+    rows = t.any(axis=(1, 2, 3))
+    support = np.flatnonzero(rows | t[rows].any(axis=(0, 1, 3)))
     if support.size < dt:
         t = t[support][:, :, support]
         kraus = kraus[:, :, support]
-    nk, ns = kraus.shape[0], support.size
+    # Output indices that no operator reaches from the support (the image)
+    # stay exactly zero, so only the image's rows are contracted.
+    image = np.flatnonzero(kraus.any(axis=(0, 2)))
+    if image.size < dt:
+        kraus = kraus[:, image]
+    nk, ni, ns = kraus.shape
     # The whole family in two BLAS calls:
     # m[k,a,r,c,s] = sum_b K[k,a,b] T[b,r,c,s]
-    m = (kraus.reshape(nk * dt, ns) @ t.reshape(ns, dr * ns * dr)).reshape(nk, dt, dr, ns, dr)
-    # out[a,r,s,d] = sum_{k,c} m[k,a,r,c,s] conj(K[k,d,c])
-    m = m.transpose(1, 2, 4, 0, 3).reshape(dt * dr * dr, nk * ns)
-    right = kraus.conj().transpose(0, 2, 1).reshape(nk * ns, dt)
-    out = (m @ right).reshape(dt, dr, dr, dt).transpose(0, 1, 3, 2)
+    m = (kraus.reshape(nk * ni, ns) @ t.reshape(ns, dr * ns * dr)).reshape(nk, ni, dr, ns, dr)
+    # out[a,r,d,s] = sum_{k,c} m[k,a,r,c,s] conj(K[k,d,c])
+    m = m.transpose(1, 2, 4, 0, 3).reshape(ni * dr * dr, nk * ns)
+    right = kraus.conj().transpose(0, 2, 1).reshape(nk * ns, ni)
+    out = np.zeros((dt, dr, dt, dr), dtype=complex)
+    every = np.arange(dr)
+    out[np.ix_(image, every, image, every)] = (m @ right).reshape(ni, dr, dr, ni).transpose(0, 1, 3, 2)
     out = out.reshape([dims[i] for i in perm] * 2)
     inv = list(np.argsort(perm))
     out = np.transpose(out, axes=[*inv, *[k + int(p) for p in inv]])
@@ -413,7 +424,8 @@ def beam_splitter(
     if state.kinds[pa] != "m" or state.kinds[pb] != "m":
         raise SubsystemError("beam_splitter targets must be modes")
     u = _beam_splitter_unitary(state.dims[pa], state.dims[pb], float(transmissivity), float(phase))
-    return apply_channel(state, [u], [mode_a, mode_b])
+    # u[None] stacks the cached unitary as a one-operator family without a copy.
+    return apply_channel(state, u[None], [mode_a, mode_b])
 
 
 def loss_channel(state: JointState, mode: str, transmissivity: float) -> JointState:

@@ -322,33 +322,49 @@ def branch_photon_numbers(
     return table
 
 
-def _click_table(config: ExperimentConfig, mean_photon: float, nodes: Sequence[int]) -> np.ndarray:
-    """Table over (one readout bit per listed node..., detector a, detector b)."""
+def _click_table(
+    config: ExperimentConfig,
+    mean_photon: float,
+    nodes: Sequence[int],
+    detectors: Sequence[tuple[DetectorParams, DetectorParams]],
+) -> np.ndarray:
+    """Tables over (detector pair, one readout bit per listed node..., detector a, detector b).
+
+    Each nonzero branch is split once; every (a, b) detector pair weights that split.
+    """
     numbers = branch_photon_numbers(config, mean_photon, nodes)
-    table = np.zeros(numbers.shape[:-1] + (2, 2))
+    table = np.zeros((len(detectors),) + numbers.shape[:-1] + (2, 2))
     space = config.fock_space()
     for bits in np.ndindex(numbers.shape[:-1]):
         p = numbers[bits].sum()
         if p > 0.0:
             photon = ModeState(space, np.diag(numbers[bits] / p)).to_joint("ph")
-            clicks = hbt_split_and_count(photon, "ph", config.detector_a, config.detector_b)
-            for (da, db), pc in clicks.items():
-                table[bits + (int(da), int(db))] = p * pc
+            table[(slice(None),) + bits] = p * hbt_split_and_count(photon, "ph", detectors)
     return table
 
 
 def run_cascade(config: ExperimentConfig, mean_photon: float) -> JointDistribution:
     """Exact 16-outcome table over (s1, s2, detector a, detector b)."""
-    table = _click_table(config, mean_photon, (1, 2))
+    table = _click_table(config, mean_photon, (1, 2), [(config.detector_a, config.detector_b)])[0]
     return JointDistribution(("s1", "s2", "da", "db"), table)
+
+
+def run_single_each(
+    config: ExperimentConfig,
+    node_index: int,
+    mean_photon: float,
+    detectors: Sequence[tuple[DetectorParams, DetectorParams]],
+) -> list[JointDistribution]:
+    """run_single once per (detector a, detector b) pair, from one propagation and one split per branch."""
+    if node_index not in (1, 2):
+        raise ConfigError(f"node_index must be 1 or 2, got {node_index}")
+    tables = _click_table(config, mean_photon, (node_index,), detectors)
+    return [JointDistribution(("s", "da", "db"), table) for table in tables]
 
 
 def run_single(config: ExperimentConfig, node_index: int, mean_photon: float) -> JointDistribution:
     """Characterization run with the other node replaced by a unit-reflectivity mirror."""
-    if node_index not in (1, 2):
-        raise ConfigError(f"node_index must be 1 or 2, got {node_index}")
-    table = _click_table(config, mean_photon, (node_index,))
-    return JointDistribution(("s", "da", "db"), table)
+    return run_single_each(config, node_index, mean_photon, [(config.detector_a, config.detector_b)])[0]
 
 
 def conditioned_photon_state(

@@ -168,6 +168,23 @@ class TestFigureBuilders:
             if f"{col}_stderr" in cells:
                 assert cells[f"{col}_stderr"] == ("" if value == "" else "0"), col
 
+    @staticmethod
+    def assert_nodark_is_quiet_figure(config):
+        header, rows = build_figure("figS1", config)
+        quiet_header, quiet_rows = build_figure("figS1", quiet_detectors(config))
+        for node in (1, 2):
+            nodark = header.index(f"p_up{node}_given_click_nodark")
+            quiet = quiet_header.index(f"p_up{node}_given_click")
+            assert [row[nodark] for row in rows] == [row[quiet] for row in quiet_rows]
+
+    def test_figS1_nodark_is_figS1_of_quiet_detectors(self, base_config):
+        self.assert_nodark_is_quiet_figure(base_config)
+
+    @settings(derandomize=True, max_examples=1, deadline=None)
+    @given(config=random_configs())
+    def test_figS1_nodark_is_figS1_of_quiet_detectors_random(self, config):
+        self.assert_nodark_is_quiet_figure(config)
+
     def test_table1_rows(self, base_config):
         header, rows = build_figure("table1", base_config)
         assert [r[0] for r in rows] == ["none", "up1", "up2", "up1_and_up2"]

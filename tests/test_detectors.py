@@ -123,29 +123,39 @@ class TestClickPovm:
 class TestHbt:
     def test_single_photon_never_coincides(self):
         st = fock_state(1, FockSpace(2)).to_joint("m")
-        dist = hbt_split_and_count(st, "m", IDEAL, IDEAL)
-        assert dist[(True, True)] == pytest.approx(0.0, abs=1e-12)
-        assert dist[(True, False)] + dist[(False, True)] == pytest.approx(1.0, abs=1e-12)
+        dist = hbt_split_and_count(st, "m", [(IDEAL, IDEAL)])[0]
+        assert dist[1, 1] == pytest.approx(0.0, abs=1e-12)
+        assert dist[1, 0] + dist[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_coherent_factorizes(self):
         mu = 0.6
         st = coherent_state(mu, FockSpace.for_mean_photon(mu)).to_joint("m")
         det = DetectorParams(0.8, 0.0, 2.0)
-        dist = hbt_split_and_count(st, "m", det, det)
-        p_a = dist[(True, True)] + dist[(True, False)]
-        p_b = dist[(True, True)] + dist[(False, True)]
-        assert dist[(True, True)] == pytest.approx(p_a * p_b, abs=1e-9)
+        dist = hbt_split_and_count(st, "m", [(det, det)])[0]
+        p_a = dist[1, 1] + dist[1, 0]
+        p_b = dist[1, 1] + dist[0, 1]
+        assert dist[1, 1] == pytest.approx(p_a * p_b, abs=1e-9)
 
     def test_vacuum_dark_coincidences(self):
         st = fock_state(0, FockSpace(2)).to_joint("m")
-        dist = hbt_split_and_count(st, "m", SNSPD, SNSPD)
-        assert dist[(True, True)] == pytest.approx(SNSPD.p_dark**2, abs=1e-12)
+        dist = hbt_split_and_count(st, "m", [(SNSPD, SNSPD)])[0]
+        assert dist[1, 1] == pytest.approx(SNSPD.p_dark**2, abs=1e-12)
 
     def test_distribution_sums_to_one(self):
         mu = 0.45
         st = coherent_state(mu, FockSpace.for_mean_photon(mu)).to_joint("m")
-        dist = hbt_split_and_count(st, "m", SNSPD, SNSPD)
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+        dist = hbt_split_and_count(st, "m", [(SNSPD, SNSPD)])[0]
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_each_pair_weights_the_same_split(self):
+        # one split weighted by several pairs gives each pair's own table, bit for bit
+        mu = 0.45
+        st = coherent_state(mu, FockSpace.for_mean_photon(mu)).to_joint("m")
+        pairs = [PAIRS[name] for name in sorted(PAIRS)]
+        tables = hbt_split_and_count(st, "m", pairs)
+        assert tables.shape == (len(pairs), 2, 2)
+        for table, pair in zip(tables, pairs):
+            assert np.array_equal(table, hbt_split_and_count(st, "m", [pair])[0])
 
 
 @pytest.mark.parametrize("pair", sorted(PAIRS))
@@ -154,11 +164,10 @@ class TestSplitMatchesReference:
 
     @staticmethod
     def assert_matches(state, mode, pair):
-        got = hbt_split_and_count(state, mode, *PAIRS[pair])
+        got = hbt_split_and_count(state, mode, [PAIRS[pair]])[0]
         expected = reference_split_and_count(state, mode, *PAIRS[pair])
-        assert got.keys() == expected.keys()
-        for outcome, p in expected.items():
-            assert got[outcome] == pytest.approx(p, abs=1e-12, rel=0), outcome
+        for (da, db), p in expected.items():
+            assert got[int(da), int(db)] == pytest.approx(p, abs=1e-12, rel=0), (da, db)
 
     @pytest.mark.parametrize("n_max", [1, 3, 6])
     def test_random_mode_states(self, pair, n_max):

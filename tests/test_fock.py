@@ -35,6 +35,7 @@ from qndsim.fock import (
     _check_blocks,
     _check_density,
     _poisson_sf,
+    _reflection_kraus,
 )
 from qndsim.node import ReflectionPair, reflect
 
@@ -555,3 +556,51 @@ class TestNumpyKernelsAgainstReferences:
             got = _apply_channel(rho, dims, kraus, targets)
             ref = _apply_channel_per_kraus(rho, dims, kraus, targets)
             assert np.max(np.abs(got - ref)) < 1e-13, (dims, targets, n_kraus)
+
+
+class TestApplyChannelImage:
+    """Kraus families with exactly-zero rows: the contraction on the support and the image."""
+
+    VACUUM = np.diag([1.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+
+    @staticmethod
+    def states(rng, space):
+        """A random mode state alone, and beside a qubit (an untouched subsystem, so dr = 2)."""
+        mode = random_mode_state(rng, space.n_max)
+        yield mode.to_joint("a")
+        yield JointState.from_parts([("q", random_density_matrix(rng, 2)), ("a", mode)])
+
+    @staticmethod
+    def assert_matches_reference_and_zero_outside(matrix, dims, kraus, targets, outside):
+        got = _apply_channel(matrix, dims, kraus, targets)
+        assert np.max(np.abs(got - _apply_channel_per_kraus(matrix, dims, kraus, targets))) < 1e-13
+        assert outside.any() and not got[outside].any() and not got[:, outside].any()
+
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_beam_splitter_on_vacuum_ancilla(self, order):
+        rng = np.random.default_rng(11)
+        space = FockSpace(4)
+        for state in self.states(rng, space):
+            split_in = state.with_vacuum_ancilla(space, "b")
+            assert np.array_equal(split_in.matrix, np.kron(state.matrix, self.VACUUM))
+            u = _beam_splitter_unitary(space.dim, space.dim, 0.5, 0.3)
+            targets = [split_in.position(label) for label in order]
+            # n_a + n_b photons leave the mixing; more than n_max never arrive.
+            coords = np.unravel_index(np.arange(len(split_in.matrix)), split_in.dims)
+            outside = coords[targets[0]] + coords[targets[1]] > space.n_max
+            self.assert_matches_reference_and_zero_outside(split_in.matrix, split_in.dims, u[None], targets, outside)
+
+    def test_reflection_family_on_low_photon_numbers(self):
+        # states of at most kept - 1 photons, embedded in a larger cutoff
+        rng = np.random.default_rng(12)
+        space, kept = FockSpace(5), 3
+        for state in self.states(rng, FockSpace(kept - 1)):
+            dims = state.dims[:-1] + (space.dim,)
+            coords = np.unravel_index(np.arange(int(np.prod(dims))), dims)
+            inside = np.flatnonzero(coords[-1] < kept)
+            matrix = np.zeros((len(coords[-1]),) * 2, dtype=complex)
+            matrix[np.ix_(inside, inside)] = state.matrix
+            kraus = _reflection_kraus(space.dim, complex(0.8 * np.exp(0.4j)))
+            assert not kraus.any(axis=2).all()  # the family has exactly-zero rows
+            outside = coords[-1] >= kept
+            self.assert_matches_reference_and_zero_outside(matrix, dims, kraus, [len(dims) - 1], outside)

@@ -85,8 +85,7 @@ def dense_tables(config, mu, nodes=(1, 2), fiber=fiber_channel):
     clicks = np.zeros((2,) * (len(nodes) + 2))
     for bits, p, cond in branches:
         numbers[bits] = p * np.real(np.diagonal(cond.matrix))
-        for (da, db), pc in hbt_split_and_count(cond, "ph", config.detector_a, config.detector_b).items():
-            clicks[bits + (int(da), int(db))] += p * pc
+        clicks[bits] += p * hbt_split_and_count(cond, "ph", [(config.detector_a, config.detector_b)])[0]
     return branches, numbers, clicks
 
 
