@@ -24,8 +24,9 @@ from dataclasses import replace
 from . import __version__
 from .config import default_config, parse_config, serialize_config
 from .errors import ConfigError, QndsimError
-from .estimators import EstimateTable, g2_table, quiet_detectors, sweep_estimates, sweep_with_nodark
-from .protocol import ExperimentConfig, JointDistribution, run_single_each
+from .estimators import SINGLE_NODE_MASKS, EstimateTable, cells_from_table, g2_table, quiet_detectors
+from .estimators import sweep_estimates, sweep_with_nodark
+from .protocol import ExperimentConfig, run_single_each
 from .sorter import SorterConfig, run_sorter
 
 FIGURES = ("fig2", "fig3", "fig4", "table1", "figS1", "sorter")
@@ -68,11 +69,6 @@ def _estimate_rows(tables: dict[str, EstimateTable], cells: tuple[str, ...]) -> 
     return rows
 
 
-def _up_given_click(dist: JointDistribution) -> float | None:
-    p_click = dist.prob(lambda o: o.da or o.db)
-    return dist.prob(lambda o: o.s and (o.da or o.db)) / p_click if p_click > 0 else None
-
-
 def _single_node_table(config: ExperimentConfig) -> list[dict[str, float | None]]:
     """figS1 rows: each node alone, with and without the absorbing detectors' dark counts.
 
@@ -87,12 +83,13 @@ def _single_node_table(config: ExperimentConfig) -> list[dict[str, float | None]
         nodark = {}
         for node in (1, 2):
             dist, quiet_dist = run_single_each(config, node, mu, detectors)
-            val = _up_given_click(dist)
-            row[f"p_up{node}"] = dist.prob(lambda o: o.s)
-            row[f"p_up{node}_stderr"] = 0.0
-            row[f"p_up{node}_given_click"] = val
-            row[f"p_up{node}_given_click_stderr"] = 0.0 if val is not None else None
-            nodark[f"p_up{node}_given_click_nodark"] = _up_given_click(quiet_dist)
+            cells = cells_from_table(dist.table, tuple(SINGLE_NODE_MASKS), SINGLE_NODE_MASKS)
+            for cell, value in cells.items():
+                column = cell.replace("p_up", f"p_up{node}")
+                row[column] = value
+                row[f"{column}_stderr"] = None if value is None else 0.0
+            quiet_cells = cells_from_table(quiet_dist.table, ("p_up_given_click",), SINGLE_NODE_MASKS)
+            nodark[f"p_up{node}_given_click_nodark"] = quiet_cells["p_up_given_click"]
         rows.append(row | nodark)
     return rows
 
@@ -106,11 +103,13 @@ def build_figure(figure: str, config: ExperimentConfig) -> tuple[list[str], list
     if config.mode == "monte_carlo" and figure in _EXACT_ONLY_FIGURES:
         raise ConfigError(f"{figure} is exact-only; run it with --mode exact")
     rows: list[dict[str, str | float | None]]
-    if figure in _NODARK_FIGURES:
-        table, nodark = sweep_with_nodark(config)
-        rows = _estimate_rows({"": table, "_nodark": nodark}, _FIGURE_CELLS[figure])
-    elif figure == "fig2":
-        rows = _estimate_rows({"": sweep_estimates(config)}, _FIGURE_CELLS[figure])
+    if figure in _FIGURE_CELLS:
+        cells = _FIGURE_CELLS[figure]
+        if figure in _NODARK_FIGURES:
+            tables = dict(zip(("", "_nodark"), sweep_with_nodark(config, cells)))
+        else:
+            tables = {"": sweep_estimates(config, cells)}
+        rows = _estimate_rows(tables, cells)
     elif figure == "figS1":
         rows = _single_node_table(config)
     elif figure == "table1":

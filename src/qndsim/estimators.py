@@ -1,10 +1,14 @@
-"""Published-quantity estimators: click curves, correlations, OR/AND, SNR, g2."""
+"""Published-quantity estimators: click curves, correlations, OR/AND, SNR, g2.
+
+Each cell is P(event | given) on outcome-grid masks (CELL_MASKS), shared by
+both engines; exact cells that read no click skip the detector split.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -12,6 +16,8 @@ from .errors import ZeroProbabilityError
 from .protocol import (
     ExperimentConfig,
     JointDistribution,
+    Outcome,
+    SingleOutcome,
     branch_photon_numbers,
     run_cascade,
 )
@@ -47,6 +53,27 @@ CELL_PREDICATES: dict[str, tuple[Callable, Callable | None]] = {
 }
 
 
+# Each cell's event and conditioning masks on the 16 joint outcomes, at flat
+# index 8 s1 + 4 s2 + 2 da + db (an unconditioned cell accepts all 16).
+_GRID = Outcome(*np.indices((2, 2, 2, 2)).reshape(4, 16).astype(bool))
+CELL_MASKS = {
+    cell: (event(_GRID), np.ones(16, dtype=bool) if given is None else given(_GRID))
+    for cell, (event, given) in CELL_PREDICATES.items()
+}
+# Cells blind to the clicks at a fixed readout, masked on the (s1, s2) grid.
+_ATOM_MASKS = {
+    cell: (event[::4], given[::4])
+    for cell, (event, given) in CELL_MASKS.items()
+    if all((m.reshape(4, 4) == m[::4, None]).all() for m in (event, given))
+}
+# figS1's cells on one node's (s, da, db) grid.
+_SINGLE = SingleOutcome(*np.indices((2, 2, 2)).reshape(3, 8).astype(bool))
+SINGLE_NODE_MASKS = {
+    "p_up": (_SINGLE.s, np.ones(8, dtype=bool)),
+    "p_up_given_click": (_SINGLE.s, _click(_SINGLE)),
+}
+
+
 @dataclass(frozen=True)
 class EstimateRow:
     mean_photon: float
@@ -74,35 +101,46 @@ class EstimateTable:
         return best
 
 
-def cells_from_distribution(dist: JointDistribution) -> dict[str, float | None]:
-    """Evaluate every table cell on one exact joint distribution."""
+def cells_from_table(
+    table: np.ndarray, cells: Sequence[str] = CELLS, masks: dict = CELL_MASKS
+) -> dict[str, float | None]:
+    """The requested cells of a probability table, flattened onto the masks' outcome grid.
+
+    Each is table[event & given].sum() / table[given].sum(), and None (absent)
+    when its condition has probability 0.
+    """
+    p = np.ravel(table)
     out: dict[str, float | None] = {}
-    for cell, (event, given) in CELL_PREDICATES.items():
-        if given is None:
-            out[cell] = dist.prob(event)
-            continue
-        denom = dist.prob(given)
-        if denom <= 0.0:
-            out[cell] = None  # absent: conditioning event has zero probability
-        else:
-            out[cell] = dist.prob(lambda o: event(o) and given(o)) / denom
+    for cell in cells:
+        event, given = masks[cell]
+        denom = p[given].sum()
+        out[cell] = float(p[event & given].sum() / denom) if denom > 0.0 else None
     return out
 
 
-def sweep_estimates(config: ExperimentConfig) -> EstimateTable:
-    """One row per mean photon number; exact probabilities or Monte Carlo estimates."""
+def cells_from_distribution(dist: JointDistribution, cells: Sequence[str] = CELLS) -> dict[str, float | None]:
+    """The requested cells of one exact (s1, s2, da, db) distribution."""
+    return cells_from_table(dist.table, cells)
+
+
+def sweep_estimates(config: ExperimentConfig, cells: Sequence[str] = CELLS) -> EstimateTable:
+    """One row of the requested cells per mean photon number; exact or Monte Carlo."""
     if config.mode == "monte_carlo":
         from . import montecarlo
 
         return EstimateTable(
-            tuple(montecarlo.estimate(config, mu, config.trials) for mu in config.mean_photon_sweep)
+            tuple(montecarlo.estimate(config, mu, config.trials, cells) for mu in config.mean_photon_sweep)
         )
 
+    split = not _ATOM_MASKS.keys() >= set(cells)
     rows = []
     for mu in config.mean_photon_sweep:
-        cells = cells_from_distribution(run_cascade(config, mu))
-        stderrs = {c: None if v is None else 0.0 for c, v in cells.items()}
-        rows.append(EstimateRow(mu, cells, stderrs))
+        if split:
+            values = cells_from_distribution(run_cascade(config, mu), cells)
+        else:
+            values = cells_from_table(branch_photon_numbers(config, mu).sum(-1), cells, _ATOM_MASKS)
+        stderrs = {c: None if v is None else 0.0 for c, v in values.items()}
+        rows.append(EstimateRow(mu, values, stderrs))
     return EstimateTable(tuple(rows))
 
 
@@ -115,19 +153,21 @@ def quiet_detectors(config: ExperimentConfig) -> ExperimentConfig:
     )
 
 
-def sweep_with_nodark(config: ExperimentConfig) -> tuple[EstimateTable, EstimateTable]:
-    """The sweep, and the same sweep on `quiet_detectors(config)`.
+def sweep_with_nodark(
+    config: ExperimentConfig, cells: Sequence[str] = CELLS
+) -> tuple[EstimateTable, EstimateTable]:
+    """The sweep of the requested cells, and the same sweep on `quiet_detectors(config)`.
 
     The exact engine runs both sweeps. The Monte Carlo oracle reads both tables
     from one trial set per point (`montecarlo.estimate_with_nodark`), with the
     samples a second sweep would draw.
     """
     if config.mode != "monte_carlo":
-        return sweep_estimates(config), sweep_estimates(quiet_detectors(config))
+        return sweep_estimates(config, cells), sweep_estimates(quiet_detectors(config), cells)
     from . import montecarlo
 
     dark, nodark = zip(
-        *(montecarlo.estimate_with_nodark(config, mu, config.trials) for mu in config.mean_photon_sweep)
+        *(montecarlo.estimate_with_nodark(config, mu, config.trials, cells) for mu in config.mean_photon_sweep)
     )
     return EstimateTable(dark), EstimateTable(nodark)
 
@@ -165,10 +205,8 @@ def _ratio(num: float, den: float) -> float:
 def snr(config: ExperimentConfig) -> SnrReport:
     """Signal-to-noise at the smallest sweep point (the small-mean-photon limit)."""
     mu = min(config.mean_photon_sweep)
-    cells = cells_from_distribution(run_cascade(config, mu))
-    p1 = cells["p_up1_given_click"]
-    p2 = cells["p_up2_given_click"]
-    p_and = cells["p_and_given_click"]
+    wanted = ("p_up1_given_click", "p_up2_given_click", "p_and_given_click")
+    p1, p2, p_and = cells_from_distribution(run_cascade(config, mu), wanted).values()
     if p1 is None or p2 is None or p_and is None:
         raise ZeroProbabilityError(
             f"no clicks at the signal point mean_photon={mu}; cannot form an SNR"

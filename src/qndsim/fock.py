@@ -385,7 +385,7 @@ def _beam_splitter_unitary(dim_a: int, dim_b: int, transmissivity: float, phase:
     h = -1j * gen
     u = np.zeros_like(h)
     total = np.add.outer(np.arange(dim_a), np.arange(dim_b)).ravel()
-    for n in np.unique(total):
+    for n in range(dim_a + dim_b - 1):
         block = np.ix_(total == n, total == n)
         w, v = np.linalg.eigh(h[block])
         u[block] = (v * np.exp(1j * w)) @ v.conj().T

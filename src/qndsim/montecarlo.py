@@ -15,13 +15,13 @@ scheduling and identical for identical (config, seed).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, QndsimError
-from .estimators import CELL_PREDICATES, CELLS, G2_CONDITIONS, EstimateRow, G2Row
+from .estimators import CELL_MASKS, CELLS, G2_CONDITIONS, EstimateRow, G2Row, cells_from_table
 from .node import rotation_matrix
 from .protocol import ExperimentConfig, Outcome
 
@@ -325,30 +325,13 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     }
 
 
-# The 16 joint outcomes, at index 8 s1 + 4 s2 + 2 da + db, and each cell's
-# event and conditioning masks on them (an unconditioned cell accepts all 16).
-_GRID = Outcome(*np.indices((2, 2, 2, 2)).reshape(4, 16).astype(bool))
-_CELL_MASKS = {
-    cell: (event(_GRID), np.ones(16, dtype=bool) if given is None else given(_GRID))
-    for cell, (event, given) in CELL_PREDICATES.items()
-}
-
-
-def _tabulate(trial: Outcome, mean_photon: float) -> EstimateRow:
-    """Every table cell of one trial set, given as arrays of outcomes."""
-    index = 8 * trial.s1.astype(np.intp) + 4 * trial.s2 + 2 * trial.da + trial.db
+def _tabulate(trial: Outcome, mean_photon: float, cells: Sequence[str] = CELLS) -> EstimateRow:
+    """The requested table cells of one trial set, given as arrays of outcomes."""
+    index = 8 * trial.s1.astype(np.intp) + 4 * trial.s2 + 2 * trial.da + trial.db  # CELL_MASKS' order
     counts = np.bincount(index, minlength=16)
-    values: dict[str, float | None] = {}
-    stderrs: dict[str, float | None] = {}
-    accepted: dict[str, int] = {}
-    for cell in CELLS:
-        event, given = _CELL_MASKS[cell]
-        n_eff = accepted[cell] = int(counts[given].sum())
-        if n_eff == 0:
-            values[cell] = stderrs[cell] = None  # absent cell: no accepted trials
-            continue
-        p = values[cell] = int(counts[event & given].sum()) / n_eff
-        stderrs[cell] = math.sqrt(p * (1.0 - p) / n_eff)
+    values = cells_from_table(counts, cells)  # None where no trial was accepted
+    accepted = {cell: int(counts[CELL_MASKS[cell][1]].sum()) for cell in cells}
+    stderrs = {c: None if p is None else math.sqrt(p * (1.0 - p) / accepted[c]) for c, p in values.items()}
     return EstimateRow(mean_photon, values, stderrs, accepted)
 
 
@@ -356,14 +339,16 @@ def _outcomes(arrays: dict) -> Outcome:
     return Outcome(arrays["s1"], arrays["s2"], arrays["click_a"], arrays["click_b"])
 
 
-def estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> EstimateRow:
-    """Monte Carlo estimates with binomial standard errors for every table cell."""
+def estimate(
+    config: ExperimentConfig, mean_photon: float, trials: int, cells: Sequence[str] = CELLS
+) -> EstimateRow:
+    """Monte Carlo estimates with binomial standard errors for the requested table cells."""
     arrays = _simulate_arrays(config, mean_photon, trials)
-    return _tabulate(_outcomes(arrays), mean_photon)
+    return _tabulate(_outcomes(arrays), mean_photon, cells)
 
 
 def estimate_with_nodark(
-    config: ExperimentConfig, mean_photon: float, trials: int
+    config: ExperimentConfig, mean_photon: float, trials: int, cells: Sequence[str] = CELLS
 ) -> tuple[EstimateRow, EstimateRow]:
     """`estimate`, and the same cells without the absorbing detectors' dark counts.
 
@@ -377,7 +362,7 @@ def estimate_with_nodark(
     clicks = _outcomes(arrays)
     fates = arrays["fate_counts"]
     hits = clicks._replace(da=fates[:, _F_AHIT] > 0, db=fates[:, _F_BHIT] > 0)
-    return _tabulate(clicks, mean_photon), _tabulate(hits, mean_photon)
+    return _tabulate(clicks, mean_photon, cells), _tabulate(hits, mean_photon, cells)
 
 
 def g2_estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> tuple[G2Row, ...]:

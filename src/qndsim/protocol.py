@@ -4,8 +4,8 @@ The engine's one output is the readout-resolved photon-number table
 P[s..., n] (branch_photon_numbers): the joint probability of the atomic
 readouts and of n photons before the 50:50 split. Every exact figure reads
 it: the click tables (run_cascade, run_single) split each nonzero row onto
-the two detectors, conditioned_photon_state sums the kept rows, and the g2
-and no-light estimators read it directly.
+the two detectors, conditioned_photon_state sums the kept rows, and the g2,
+no-light and atom-only estimators (fig2) read it without a split.
 
 The engine runs on the photon-number-diagonal sector. Every cascade channel
 (loss, reflection, branch distinguishability, the fiber's phase flip,

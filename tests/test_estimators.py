@@ -3,17 +3,200 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_mode_state
+from conftest import random_configs, random_mode_state
+from qndsim import cli, protocol
 from qndsim.config import ideal_config
 from qndsim.estimators import (
+    CELL_PREDICATES,
     CELLS,
+    SINGLE_NODE_MASKS,
+    _ATOM_MASKS,
+    cells_from_distribution,
+    cells_from_table,
     g2_from_numbers,
     g2_table,
+    quiet_detectors,
     snr,
     sweep_estimates,
 )
 from qndsim.fock import FockSpace, coherent_state, fock_state, loss_channel
+from qndsim.protocol import JointDistribution, Outcome, SingleOutcome, run_cascade, run_single_each
+
+# The mask evaluator sums in another order than a predicate walk and divides
+# the unconditioned cells by the table's total (1 to rounding): a few float64
+# ulps of a probability.
+CELL_TOL = 1e-15
+
+
+def reference_cells(dist):
+    """Reference: every cell's predicates walked over the outcomes of one exact distribution."""
+    out = {}
+    for cell, (event, given) in CELL_PREDICATES.items():
+        if given is None:
+            out[cell] = dist.prob(event)
+            continue
+        denom = dist.prob(given)
+        if denom <= 0.0:
+            out[cell] = None  # absent: conditioning event has zero probability
+        else:
+            out[cell] = dist.prob(lambda o: event(o) and given(o)) / denom
+    return out
+
+
+def assert_cells_close(cells, reference):
+    assert cells.keys() == reference.keys()
+    for cell, value in cells.items():
+        if reference[cell] is None:
+            assert value is None, cell
+        else:
+            assert value == pytest.approx(reference[cell], abs=CELL_TOL), cell
+
+
+@st.composite
+def outcome_tables(draw, outcome_type):
+    """Normalized random tables over an outcome type's grid, some with an event zeroed out.
+
+    Zeroing a click, the first atom up with a click, or the first atom up
+    leaves a conditioning event of probability exactly 0. The all-zero
+    outcome is never zeroed.
+    """
+    bits = len(outcome_type._fields)
+    grid = outcome_type(*np.indices((2,) * bits).astype(bool))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2**bits, max_size=2**bits)))
+    table = weights.reshape((2,) * bits)
+    click = grid.da | grid.db
+    zeroed = {"nothing": click & ~click, "click": click, "first and click": grid[0] & click, "first": grid[0]}
+    table[zeroed[draw(st.sampled_from(sorted(zeroed)))]] = 0.0
+    if table.sum() < 1e-3:  # keeps the normalization finite
+        table[(0,) * bits] = 1.0
+    return JointDistribution(outcome_type._fields, table / table.sum())
+
+
+class TestCellEvaluator:
+    """Mask sums on the outcome grid against the predicate walk they replace."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(dist=outcome_tables(Outcome))
+    def test_random_tables(self, dist):
+        assert_cells_close(cells_from_distribution(dist), reference_cells(dist))
+
+    @pytest.mark.parametrize("zeroed", ["click", "up1_and_click"])
+    def test_condition_of_probability_zero(self, zeroed):
+        o = Outcome(*np.indices((2, 2, 2, 2)).astype(bool))
+        click = o.da | o.db
+        table = np.where(click & (o.s1 if zeroed == "up1_and_click" else True), 0.0, 1.0)
+        dist = JointDistribution(Outcome._fields, table / table.sum())
+        cells = cells_from_distribution(dist)
+        assert_cells_close(cells, reference_cells(dist))
+        assert cells["p_up2_given_up1_and_click"] is None
+        assert (cells["p_up1_given_click"] is None) == (zeroed == "click")
+
+    def test_requested_cells_only(self):
+        dist = JointDistribution(Outcome._fields, np.full((2, 2, 2, 2), 1 / 16))
+        cells = ("p_and_given_click", "p_up1")
+        assert list(cells_from_distribution(dist, cells)) == list(cells)
+
+    def test_atom_cells_are_the_click_blind_ones(self):
+        assert list(_ATOM_MASKS) == list(cli._FIGURE_CELLS["fig2"])
+
+
+def reference_single_node_cells(dist):
+    """Reference: figS1's cells as predicate walks over one node's (s, da, db) outcomes."""
+    p_click = dist.prob(lambda o: o.da or o.db)
+    return {
+        "p_up": dist.prob(lambda o: o.s),
+        "p_up_given_click": dist.prob(lambda o: o.s and (o.da or o.db)) / p_click if p_click > 0 else None,
+    }
+
+
+class TestSingleNodeCells:
+    """figS1's mask cells against the predicate walks they replace."""
+
+    @staticmethod
+    def assert_matches_reference(dist):
+        cells = cells_from_table(dist.table, ("p_up", "p_up_given_click"), SINGLE_NODE_MASKS)
+        assert_cells_close(cells, reference_single_node_cells(dist))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dist=outcome_tables(SingleOutcome))
+    def test_random_tables(self, dist):
+        self.assert_matches_reference(dist)
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(config=random_configs())
+    def test_random_configs(self, config):
+        detectors = [(config.detector_a, config.detector_b)]
+        for node in (1, 2):
+            self.assert_matches_reference(run_single_each(config, node, config.mean_photon_sweep[0], detectors)[0])
+
+    def test_no_click(self, perfect_config):
+        config = quiet_detectors(replace(perfect_config, mean_photon_sweep=(0.0,)))
+        dist = run_single_each(config, 1, 0.0, [(config.detector_a, config.detector_b)])[0]
+        self.assert_matches_reference(dist)
+        assert cells_from_table(dist.table, ("p_up_given_click",), SINGLE_NODE_MASKS) == {"p_up_given_click": None}
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Counts the detector splits the exact engine runs."""
+    calls = []
+    original = protocol.hbt_split_and_count
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "hbt_split_and_count", counting)
+    return calls
+
+
+FIG2_CELLS = cli._FIGURE_CELLS["fig2"]
+
+
+def assert_fig2_is_cascade(config):
+    """fig2's split-free cells against the same cells of the split cascade table."""
+    for row in sweep_estimates(config, FIG2_CELLS).rows:
+        reference = cells_from_distribution(run_cascade(config, row.mean_photon), FIG2_CELLS)
+        assert_cells_close(row.values, reference)
+        assert row.stderrs == {c: None if v is None else 0.0 for c, v in row.values.items()}
+
+
+class TestSplitFreeCells:
+    """Cells that read no click come from the readout marginal, without the detector split."""
+
+    SWEEP = (0.1, 0.45)
+
+    def test_fig2_runs_no_split(self, base_config, split_calls):
+        cli.build_figure("fig2", replace(base_config, mean_photon_sweep=self.SWEEP))
+        assert split_calls == []
+
+    def test_full_sweep_splits_every_branch(self, base_config, split_calls):
+        sweep_estimates(replace(base_config, mean_photon_sweep=self.SWEEP))
+        assert len(split_calls) == 4 * len(self.SWEEP)
+
+    def test_a_click_cell_keeps_the_split(self, base_config, split_calls):
+        table = sweep_estimates(replace(base_config, mean_photon_sweep=self.SWEEP), ("p_up1", "p_up1_given_click"))
+        assert len(split_calls) == 4 * len(self.SWEEP)
+        assert all(list(row.values) == ["p_up1", "p_up1_given_click"] for row in table.rows)
+
+    def test_default_config(self, base_config):
+        assert_fig2_is_cascade(base_config)
+
+    @pytest.mark.parametrize("input_kind", ["coherent", "fock"])
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(config=random_configs())
+    def test_random_configs(self, config, input_kind):
+        assert_fig2_is_cascade(replace(config, input_kind=input_kind))
+
+    def test_conditioning_readout_of_probability_zero(self, perfect_config):
+        # Ideal nodes without light never read 'up', so P(up1) = P(up2) = 0.
+        config = replace(perfect_config, mean_photon_sweep=(0.0,))
+        assert_fig2_is_cascade(config)
+        values = sweep_estimates(config, FIG2_CELLS).rows[0].values
+        assert values["p_up1_given_up2"] is None and values["p_up2_given_up1"] is None
 
 
 class TestSweepEstimates:

@@ -19,6 +19,7 @@ from qndsim.estimators import (
     cells_from_distribution,
     quiet_detectors,
     sweep_estimates,
+    sweep_with_nodark,
 )
 from qndsim.montecarlo import (
     _F_AHIT,
@@ -577,6 +578,26 @@ class TestOneSimulationPerPoint:
     def test_table1(self, config, simulated):
         build_figure("table1", config)
         assert simulated == [0.45]
+
+
+class TestRequestedCells:
+    """A sweep of some cells holds exactly the full sweep's rows on those cells."""
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4"])
+    def test_figure_cells(self, base_config, figure):
+        config = replace(base_config, mode="monte_carlo", trials=4_000, seed=7, mean_photon_sweep=(0.1, 0.45, 1.3))
+        cells = cli._FIGURE_CELLS[figure]
+
+        def restricted(row):
+            return EstimateRow(
+                row.mean_photon,
+                *({c: part[c] for c in cells} for part in (row.values, row.stderrs, row.counts)),
+            )
+
+        full = sweep_estimates(config)
+        assert sweep_estimates(config, cells).rows == tuple(map(restricted, full.rows))
+        for requested, whole in zip(sweep_with_nodark(config, cells), sweep_with_nodark(config)):
+            assert requested.rows == tuple(map(restricted, whole.rows))
 
 
 class TestG2Estimate:
