@@ -392,6 +392,11 @@ def _beam_splitter_unitary(dim_a: int, dim_b: int, transmissivity: float, phase:
     return u
 
 
+def _loss_amplitude(amplitude: complex) -> float:
+    """s = sqrt(1 - |r|^2) of a reflection; at |r| = 1 one ulp of |r|^2 moves s by 1e-8."""
+    return math.sqrt(max(0.0, 1.0 - abs(complex(amplitude)) ** 2))
+
+
 @lru_cache(maxsize=None)
 def _reflection_kraus(dim: int, amplitude: complex) -> np.ndarray:
     """Loss at |r|^2 composed with a per-photon phase arg(r), as one stacked Kraus family.
@@ -401,8 +406,7 @@ def _reflection_kraus(dim: int, amplitude: complex) -> np.ndarray:
     reflection) stay aligned on the shared loss ancilla index. The cached
     array is read-only.
     """
-    mag2 = abs(amplitude) ** 2
-    s = math.sqrt(max(0.0, 1.0 - mag2))
+    s = _loss_amplitude(amplitude)
     kraus = np.zeros((dim, dim, dim), dtype=complex)
     for k in range(dim):
         for n in range(k, dim):

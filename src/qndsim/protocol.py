@@ -12,18 +12,19 @@ The engine runs on the photon-number-diagonal sector. Every cascade channel
 dephasing, the qubit rotations) keeps the photon-number difference n - m of a
 coherence, and every measurement (atomic readout, threshold detection) is
 diagonal in photon number, so only the n = m sector reaches an output. The
-state is one 2^k x 2^k block of the k atoms per photon number; each channel
-acts on it through a transfer derived from its cached Kraus family. Atomic
-readout is applied before the photon counting; all measurement channels act
-on disjoint subsystems, so this ordering does not affect the joint table.
-The number sorter runs on the same sector.
+state is one 2^k x 2^k block of the k atoms per photon number. Each stage
+between the two pi/2 pulses keeps or loses every photon independently, with
+weights (a, b) per block, and thinnings compose, so the whole path is one
+thinning per block. Atomic readout is applied before the photon counting;
+all measurement channels act on disjoint subsystems, so this ordering does
+not affect the joint table. The number sorter runs on the same sector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -37,6 +38,7 @@ from .fock import (
     FockSpace,
     ModeState,
     _check_blocks,
+    _loss_amplitude,
     coherent_state,
     fock_state,
 )
@@ -44,8 +46,6 @@ from .node import (
     CqedParams,
     NodeImperfections,
     ReflectionPair,
-    _branch_reflection_kraus,
-    _distinguishability_kraus,
     prepare,
     reflection_pair,
     rotation_matrix,
@@ -187,42 +187,34 @@ class JointDistribution:
         return float(sum(p for o, p in self.outcomes() if predicate(o)))
 
 
-def _transfer(kraus: np.ndarray) -> np.ndarray:
-    """Sector transfer T[x, y, m, n] of a (qubit, mode) Kraus family that keeps x and n - m.
+def _reflection_weights(pair: ReflectionPair, contrast: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-photon weights (a, b)[x, y] of a reflection on an atom's blocks |x><y|.
 
-    Each operator maps |x, n> to |x, m> only, with n - m fixed per operator,
-    so a block |x, n><y, n| goes to sum_m T[x, y, m, n] |x, m><y, m| with
-    T[x, y, m, n] = sum_k K[k, (x, m), (x, n)] conj(K[k, (y, m), (y, n)]).
+    A photon of block (x, y) is kept with a = r_x conj(r_y) and lost with
+    b = s_x s_y, s = sqrt(1 - |r|^2); a contrast below one tags each kept
+    photon with its branch, which scales a by the contrast when x != y.
     """
-    dim = kraus.shape[1] // 2
-    ops = kraus.reshape(len(kraus), 2, dim, 2, dim)[:, [0, 1], :, [0, 1], :]
-    return np.einsum("xkmn,ykmn->xymn", ops, ops.conj())
+    r = np.array([complex(pair.r_coupled), complex(pair.r_uncoupled)])
+    s = np.array([_loss_amplitude(x) for x in r])
+    return np.outer(r, r.conj()) * np.array([[1.0, contrast], [contrast, 1.0]]), np.outer(s, s)
 
 
-@lru_cache(maxsize=None)
-def _reflection_transfer(dim: int, pair: ReflectionPair, contrast: float = 1.0) -> np.ndarray:
-    """reflect() on the sector: B[m, n] = C(n, m) (r_x conj(r_y))^m (s_x s_y)^(n - m).
+def _compose(first: tuple, then: tuple) -> tuple:
+    """Two thinnings in sequence: (a1, b1) then (a2, b2) is (a1 a2, b1 + a1 b2)."""
+    (a1, b1), (a2, b2) = first, then
+    return a1 * a2, b1 + a1 * b2
 
-    A contrast below one then scales the x != y blocks by contrast^n.
+
+def _thin(numbers: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W[..., m] = sum_n p_n C(n, m) a^m b^(n - m): per-photon weights (a, b) on p_n.
+
+    Each of the n photons is independently kept with weight a and lost with
+    weight b; a and b broadcast together, one thinning per entry.
     """
-    kraus = _branch_reflection_kraus(dim, complex(pair.r_coupled), complex(pair.r_uncoupled))
-    out = _transfer(kraus)
-    if contrast < 1.0:
-        out = _transfer(_distinguishability_kraus(dim, contrast)) @ out
-    return out
-
-
-def _loss_transfer(dim: int, transmissivity: float) -> np.ndarray:
-    """Loss on the sector: a reflection of amplitude sqrt(T) on both branches of any qubit."""
-    r = math.sqrt(transmissivity)
-    return _reflection_transfer(dim, ReflectionPair(r, r))
-
-
-def _on_qubit(blocks: np.ndarray, transfer: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply a one-qubit transfer T[x, y, m, n] to the given qubit of every block."""
-    k = blocks.shape[1].bit_length() - 1
-    bit = (np.arange(2**k) >> (k - 1 - qubit)) & 1
-    return np.einsum("xymn,nxy->mxy", transfer[bit[:, None], bit[None, :]], blocks)
+    n = np.arange(len(numbers))
+    binomial = np.array([[math.comb(j, m) for j in n.tolist()] for m in n.tolist()])
+    lost = np.asarray(b)[..., None, None] ** np.maximum(n - n[:, None], 0)
+    return np.asarray(a)[..., None] ** n * ((lost * binomial) @ numbers)
 
 
 def _propagate(
@@ -235,46 +227,44 @@ def _propagate(
     single-node characterization run and the fiber and detection losses stay
     where they are. The state is a (dim, 2^k, 2^k) stack of the k atoms'
     blocks, one per photon number (see the module docstring); the fiber's
-    phase flip is the identity on it and drops out. Each stage's stack is
-    validated.
+    phase flip is the identity on it and drops out. Block (X, Y) is the
+    first pulses' atom block rho'_XY times the input photon numbers thinned
+    by the composed weights of every stage up to the detectors. Only the
+    final stack is formed, and it is validated.
     """
-    space = config.fock_space()
-    dim = space.dim
-    imps = [config.node(k).imperfections for k in nodes]
+    k = len(nodes)
+    imps = [config.node(j).imperfections for j in nodes]
 
-    def checked(blocks: np.ndarray, what: str) -> np.ndarray:
-        _check_blocks(blocks, what)
-        return blocks
+    def reflection(node: int, pair: ReflectionPair, contrast: float = 1.0) -> tuple:
+        bit = (np.arange(2**k) >> (k - 1 - nodes.index(node))) & 1
+        return tuple(w[bit[:, None], bit[None, :]] for w in _reflection_weights(pair, contrast))
 
-    def reflection(node: NodeConfig) -> np.ndarray:
-        return _reflection_transfer(dim, node.pair(), node.imperfections.reflection_contrast)
-
-    # (stage, transfer, qubit it acts on) between the two pi/2 pulses
-    stages = []
+    n1, n2 = config.node1, config.node2
+    fiber, detection = config.channel.transmission, config.detection_efficiency
+    path = (fiber, 1.0 - fiber)
     if 1 in nodes:
-        stages.append(("node 1 reflection", reflection(config.node1), nodes.index(1)))
-    stages.append(("fiber", _loss_transfer(dim, config.channel.transmission), 0))
+        path = _compose(reflection(1, n1.pair(), n1.imperfections.reflection_contrast), path)
+    paths = [(1.0, path)]
     if 2 in nodes:
         # With probability q the pulse's polarization has scrambled in the
         # fiber (collectively, per pulse): that component reflects off the bare
         # resonator on both branches and no longer drives the downstream atom.
         q = config.channel.scramble_probability
-        scrambled = _reflection_transfer(dim, config.node2.empty_pair())
-        mixed = (1.0 - q) * reflection(config.node2) + q * scrambled
-        stages.append(("node 2 reflection", mixed, nodes.index(2)))
-    stages.append(("detection path", _loss_transfer(dim, config.detection_efficiency), 0))
+        coupled = reflection(2, n2.pair(), n2.imperfections.reflection_contrast)
+        scrambled = reflection(2, n2.empty_pair())
+        paths = [(1.0 - q, _compose(path, coupled)), (q, _compose(path, scrambled))]
 
+    numbers = config.input_state(mean_photon, config.fock_space()).number_distribution()
+    weights = sum(w * _thin(numbers, *_compose(p, (detection, 1.0 - detection))) for w, p in paths)
     pulses = [rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation()) for imp in imps]
     pulse = reduce(np.kron, pulses)
     visibilities = [np.array([[1.0, v], [v, 1.0]]) for v in map(NodeImperfections.visibility, imps)]
     atoms = reduce(np.kron, [prepare(imp.prep_fidelity) for imp in imps])
-    numbers = config.input_state(mean_photon, space).number_distribution()
-    blocks = checked(numbers[:, None, None] * atoms, "input")
-    blocks = checked(pulse @ blocks @ pulse.conj().T, "first pulses")
-    for what, transfer, qubit in stages:
-        blocks = checked(_on_qubit(blocks, transfer, qubit), what)
-    blocks = checked(blocks * reduce(np.kron, visibilities), "dephasing")
-    return checked(pulse @ blocks @ pulse.conj().T, "final pulses")
+    # rho', dephased between the pulses: a channel on the atoms alone commutes with the thinning
+    atoms = pulse @ atoms @ pulse.conj().T * reduce(np.kron, visibilities)
+    blocks = pulse @ (np.moveaxis(weights, -1, 0) * atoms) @ pulse.conj().T
+    _check_blocks(blocks, "propagated state")
+    return blocks
 
 
 def _read_atom(blocks: np.ndarray, f: float, what: str) -> list[tuple[int, float, np.ndarray]]:

@@ -7,7 +7,8 @@ number modulo 2^k, with the readout basis fed forward from earlier digits.
 Like the cascade (see qndsim.protocol) it runs on the photon-number sector:
 every sorter channel keeps n - m and every output reads the number diagonal,
 so between nodes the light is a photon-number distribution, each node acts on
-a (dim, 2, 2) stack of its atom's blocks, and the fiber's phase flip drops out.
+a (dim, 2, 2) stack of its atom's blocks, and the fiber's phase flip drops out;
+the fiber's loss and the next node's gate are one thinning of those numbers.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .node import (
     reflection_coefficients,
     rotation_matrix,
 )
-from .protocol import HALF_PI, _loss_transfer, _on_qubit, _read_atom, _reflection_transfer
+from .protocol import HALF_PI, _compose, _read_atom, _reflection_weights, _thin
 
 
 @dataclass(frozen=True)
@@ -144,26 +145,25 @@ class SorterResult:
 def run_sorter(config: SorterConfig) -> list[SorterResult]:
     """Heralding probabilities and conditional output states for every label.
 
-    Each node runs the cascade engine's pulses, reflection transfer, dephasing
-    and atom readout on its (dim, 2, 2) stack; the fiber is the loss transfer.
+    Each node runs the cascade engine's pulses, dephasing and atom readout on
+    its (dim, 2, 2) stack; its gate, and the fiber before it, thin each photon
+    with the cascade's composed per-photon weights.
     """
     space = config.space()
     transmission = config.channel.transmission if config.channel is not None else 1.0
-    fiber = _loss_transfer(space.dim, transmission)[0, 0].real
     branches = [((), 1.0, config.input_state().number_distribution())]
     for j in range(1, config.k + 1):
         imp = config.node_imperfections(j)
         pulse = rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation())
-        reflection = _reflection_transfer(space.dim, config.gate_pair(j))
+        t = transmission if j > 1 else 1.0  # the fiber runs between consecutive nodes
+        path = _compose((t, 1.0 - t), _reflection_weights(config.gate_pair(j)))
         v = imp.visibility()
+        atom = pulse @ prepare(imp.prep_fidelity) @ pulse.conj().T * np.array([[1.0, v], [v, 1.0]])
         deeper = []
         for bits, weight, numbers in branches:
             basis = feed_forward_basis(bits, config.k)
             readout = rotation_matrix(basis.azimuth, basis.angle + imp.over_rotation())
-            light = numbers if j == 1 else fiber @ numbers
-            blocks = light[:, None, None] * prepare(imp.prep_fidelity)
-            blocks = pulse @ blocks @ pulse.conj().T
-            blocks = _on_qubit(blocks, reflection, 0) * np.array([[1.0, v], [v, 1.0]])
+            blocks = np.moveaxis(_thin(numbers, *path), -1, 0) * atom
             blocks = readout @ blocks @ readout.conj().T
             _check_blocks(blocks, f"sorter node {j}")
             for up, p, cond in _read_atom(blocks, imp.readout_fidelity, f"sorter node {j} readout"):

@@ -23,6 +23,7 @@ from qndsim.estimators import (
     sweep_estimates,
 )
 from qndsim.fock import FockSpace, coherent_state, fock_state, loss_channel
+from qndsim.node import prepare, rotation_matrix
 from qndsim.protocol import JointDistribution, Outcome, SingleOutcome, run_cascade, run_single_each
 
 # The mask evaluator sums in another order than a predicate walk and divides
@@ -336,3 +337,68 @@ class TestG2Table:
         ]
         bunched = 4 * sum(x**2 for x in intensities) / sum(intensities) ** 2
         assert rows["none"].g2_zero == pytest.approx(bunched, abs=0.02)
+
+
+def untruncated_g2_none(config) -> float:
+    """g2(0) of the unconditioned row with no Fock cutoff, from the node and channel parameters.
+
+    Tracing out the atoms leaves the input thinned by each branch's kept
+    weight A_X: the diagonal atom branch X = (x1, x2) after the first pulses
+    has weight w_X, and its photons are kept with |r1_x1|^2 T |r2_x2|^2 eta,
+    or with |r2_u|^2 in place of |r2_x2|^2 when the fiber has scrambled the
+    pulse (probability q). Thinning scales <n> by A and <n(n - 1)> by A^2,
+    so g2 = f sum w A^2 / (sum w A)^2 with f = <n(n - 1)>/<n>^2 of the input:
+    1 for a coherent pulse and (N - 1)/N for Fock N.
+    """
+    populations, reflected = [], []
+    for node in (config.node1, config.node2):
+        imp, pair = node.imperfections, node.pair()
+        pulse = rotation_matrix(math.pi / 2, math.pi / 2 + imp.over_rotation())
+        populations.append(np.diag(pulse @ prepare(imp.prep_fidelity) @ pulse.conj().T).real)
+        reflected.append(np.abs([pair.r_coupled, pair.r_uncoupled]) ** 2)
+    (w1, w2), (k1, k2) = populations, reflected
+    path = config.channel.transmission * config.detection_efficiency
+    q = config.channel.scramble_probability
+    weights, kept = [], []
+    for x1, x2 in np.ndindex(2, 2):
+        weights += [(1.0 - q) * w1[x1] * w2[x2], q * w1[x1] * w2[x2]]
+        kept += [k1[x1] * path * k2[x2], k1[x1] * path * k2[1]]
+    weights, kept = np.array(weights), np.array(kept)
+    f = (config.fock_n - 1) / config.fock_n if config.input_kind == "fock" else 1.0
+    return f * float(weights @ kept**2) / float(weights @ kept) ** 2
+
+
+def moment_weighted_tail(mu: float, n_max: int) -> float:
+    """sum_{n > n_max} n (n - 1) p_n / mu^2 of a Poisson(mu) input: the g2 rows' truncation bound."""
+    n = np.arange(n_max + 1, n_max + 200)
+    log_p = n * math.log(mu) - mu - np.array([math.lgamma(k + 1.0) for k in n.tolist()])
+    return float((n * (n - 1.0) * np.exp(log_p)).sum()) / mu**2
+
+
+class TestG2Truncation:
+    """The exact engine's g2 rows against the untruncated value, within the stated bound."""
+
+    @staticmethod
+    def _assert_within_bound(config, mu):
+        got = {r.condition: r.g2_zero for r in g2_table(config, mu)}["none"]
+        exact = untruncated_g2_none(config)
+        if config.input_kind == "fock":
+            assert got == pytest.approx(exact, abs=1e-12, rel=0)
+        else:
+            bound = moment_weighted_tail(mu, config.fock_space().n_max) + 1e-12
+            assert abs(got - exact) / exact <= bound
+
+    @pytest.mark.parametrize("which", ["default", "ideal"])
+    def test_top_of_sweep(self, base_config, perfect_config, which):
+        config = base_config if which == "default" else perfect_config
+        self._assert_within_bound(config, max(config.mean_photon_sweep))
+
+    @pytest.mark.parametrize("fock_n", [2, 24])
+    def test_fock_input(self, base_config, perfect_config, fock_n):
+        for config in (base_config, perfect_config):
+            self._assert_within_bound(replace(config, input_kind="fock", fock_n=fock_n), 0.0)
+
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(config=random_configs())
+    def test_random_configs(self, config):
+        self._assert_within_bound(config, max(config.mean_photon_sweep))

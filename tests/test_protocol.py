@@ -12,14 +12,28 @@ from qndsim.detectors import hbt_split_and_count
 from qndsim.errors import ConfigError, ZeroProbabilityError
 from qndsim.estimators import G2_CONDITIONS, cells_from_distribution, g2_from_numbers, g2_table, snr
 from qndsim.fock import JointState, loss_channel
-from qndsim.node import detect_state, dephase, prepare, reflect, rotate
+from qndsim.node import (
+    CqedParams,
+    ReflectionPair,
+    _branch_reflection_kraus,
+    _distinguishability_kraus,
+    detect_state,
+    dephase,
+    prepare,
+    reflect,
+    reflection_pair,
+    rotate,
+)
 from qndsim.protocol import (
     JointDistribution,
+    _reflection_weights,
+    _thin,
     branch_photon_numbers,
     conditioned_photon_state,
     run_cascade,
     run_single,
 )
+from qndsim.sorter import SorterConfig
 
 
 # The dense cascade pipeline the photon-number sector engine replaced, kept as
@@ -281,6 +295,57 @@ class TestSectorMatchesDense:
     @given(config=random_configs())
     def test_random_configs(self, config):
         self._assert_matches(config, config.mean_photon_sweep[0])
+
+
+def _transfer(kraus):
+    """Sector transfer T[x, y, m, n] of a (qubit, mode) Kraus family that keeps x and n - m.
+
+    Each operator maps |x, n> to |x, m> only, with n - m fixed per operator,
+    so a block |x, n><y, n| goes to sum_m T[x, y, m, n] |x, m><y, m| with
+    T[x, y, m, n] = sum_k K[k, (x, m), (x, n)] conj(K[k, (y, m), (y, n)]).
+    """
+    dim = kraus.shape[1] // 2
+    ops = kraus.reshape(len(kraus), 2, dim, 2, dim)[:, [0, 1], :, [0, 1], :]
+    return np.einsum("xkmn,ykmn->xymn", ops, ops.conj())
+
+
+class TestThinningWeights:
+    """The per-photon weights against the Kraus-family transfers they replaced."""
+
+    DIM = 25  # the cutoff cap: the largest binomials the engine forms
+
+    def _binomial_transfer(self, a, b):
+        """C(n, m) a^m b^(n - m) as T[..., m, n]: column n thins n photons."""
+        return np.stack([_thin(one, a, b) for one in np.eye(self.DIM)], axis=-1)
+
+    def _assert_reflection(self, pair, contrast=1.0):
+        r_c, r_u = complex(pair.r_coupled), complex(pair.r_uncoupled)
+        expected = _transfer(_branch_reflection_kraus(self.DIM, r_c, r_u))
+        if contrast < 1.0:
+            expected = _transfer(_distinguishability_kraus(self.DIM, contrast)) @ expected
+        got = self._binomial_transfer(*_reflection_weights(pair, contrast))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+    def test_near_unit_reflection(self):
+        # |r_u| = 1 in exact arithmetic; this detuning rounds it just below, where
+        # s = sqrt(1 - |r|^2) moves by 1e-8 per ulp of |r|^2.
+        pair = reflection_pair(CqedParams(7.6, 2.5, 3.0, delta_c=0.11202338443976245))
+        assert abs(pair.r_uncoupled) == 0.9999999999999999
+        self._assert_reflection(pair)
+
+    @pytest.mark.parametrize("contrast", [0.93, 0.0])
+    def test_contrast(self, contrast):
+        self._assert_reflection(reflection_pair(CqedParams(7.6, 2.8, 3.0)), contrast)
+
+    def test_loss(self):
+        t = 0.37
+        self._assert_reflection(ReflectionPair(math.sqrt(t), math.sqrt(t)))
+        expected = _transfer(_branch_reflection_kraus(self.DIM, math.sqrt(t), math.sqrt(t)))[0, 0]
+        np.testing.assert_allclose(self._binomial_transfer(t, 1.0 - t), expected, rtol=0, atol=1e-15)
+
+    def test_sorter_gate(self):
+        params = (CqedParams(7.6, 2.5, 3.0, delta_c=0.3),) * 3
+        self._assert_reflection(SorterConfig(k=3, node_params=params).gate_pair(3))
 
 
 class TestCondition:
