@@ -230,11 +230,12 @@ def _manifest_files(path: str) -> set[str]:
 def compare(manifest_a: str, manifest_b: str) -> dict:
     """Cell-wise comparison of two runs; 3-sigma aware when stderr columns exist.
 
-    A value cell fails when only one run has it, or when the two values differ
-    by more than 3 sigma (both runs' stderrs added in quadrature) or, without
-    stderrs, by more than 1e-12. "worst" names up to five failing cells as
-    file, data row (0-based), column, diff and sigma, ordered by diff over its
-    bound; a cell that cannot be differenced has diff None and ranks first.
+    A value cell passes when both runs write the same text or the values
+    differ by at most 3 sigma (both runs' stderrs added in quadrature) or,
+    without stderrs, 1e-12. "worst" names up to five failing cells as file,
+    data row (0-based), column, diff and sigma, ordered by diff over its
+    bound; a cell that cannot be differenced (only one run has it, or a value
+    or stderr is not a finite number) has diff None and ranks first.
     """
     reports = {}
     files_a, files_b = _manifest_files(manifest_a), _manifest_files(manifest_b)
@@ -259,25 +260,20 @@ def compare(manifest_a: str, manifest_b: str) -> dict:
                 if not cell_a and not cell_b:
                     continue
                 cells_checked += 1
+                if cell_a == cell_b:
+                    continue
                 cell = {"file": name, "row": row_index, "column": column, "diff": None, "sigma": None}
-                if bool(cell_a) != bool(cell_b):
+                err_col = f"{column}_stderr"
+                stderrs = [row[header_a.index(err_col)] for row in (row_a, row_b) if err_col in header_a]
+                try:
+                    diff = abs(float(cell_a) - float(cell_b))
+                    sigma = math.hypot(*(float(err) for err in stderrs if err))
+                except ValueError:
+                    diff = sigma = math.nan
+                if not math.isfinite(diff + sigma):
                     failures.append((math.inf, cell))
                     continue
-                try:
-                    va, vb = float(cell_a), float(cell_b)
-                except ValueError:
-                    if cell_a != cell_b:
-                        failures.append((math.inf, cell))
-                    continue
-                diff = abs(va - vb)
                 file_max = max(file_max, diff)
-                err_col = f"{column}_stderr"
-                sigma = 0.0
-                if err_col in header_a:
-                    idx = header_a.index(err_col)
-                    for row in (row_a, row_b):
-                        if row[idx]:
-                            sigma = math.hypot(sigma, float(row[idx]))
                 bound = 3.0 * sigma if sigma > 0.0 else 1e-12
                 if diff > bound:
                     failures.append((diff / bound, {**cell, "diff": diff, "sigma": sigma}))

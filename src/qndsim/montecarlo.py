@@ -1,11 +1,11 @@
 """Independent stochastic sampler of the cascade, cross-validating the exact engine.
 
-Each trial draws a photon number, classical per-photon fates through every
-loss stage, and the resulting pure two-atom amplitude over the four branch
-combinations; atomic outcomes and detector clicks are then sampled. This
-per-photon unraveling is exact here because the input is Poissonian (or Fock)
-and all optics are linear with branch-conditioned amplitudes; the test suite
-asserts agreement with the exact engine instead of assuming it.
+Each trial draws a photon number and classical per-photon fates through every
+loss stage, which leave the two atoms in a product state of pure amplitudes;
+atomic outcomes and detector clicks are then sampled. This per-photon
+unraveling is exact here because the input is Poissonian (or Fock) and all
+optics are linear with branch-conditioned amplitudes; the test suite asserts
+agreement with the exact engine instead of assuming it.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stage, sweep point), so results are reproducible independent of
@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, QndsimError
 from .estimators import CELL_MASKS, CELLS, G2_CONDITIONS, EstimateRow, G2Row, cells_from_table
+from .fock import _loss_amplitude
 from .node import rotation_matrix
 from .protocol import ExperimentConfig, Outcome
 
@@ -64,6 +65,9 @@ class _Model:
 
     amp: np.ndarray  # (2 depol, 2 x, 2 y, 8 fates) complex amplitudes
     prob: np.ndarray  # |amp|^2
+    # Per atom, (2 depol, 2 branch): r of a photon past the node, s = sqrt(1 - |r|^2) of one lost there.
+    reflection: tuple[np.ndarray, np.ndarray]
+    loss: tuple[np.ndarray, np.ndarray]
     c_good: tuple[np.ndarray, np.ndarray]  # post-first-pulse amplitudes per atom
     c_bad: tuple[np.ndarray, np.ndarray]
     visibility: tuple[float, float]
@@ -79,27 +83,26 @@ class _Model:
         pair1 = config.node1.pair()
         pair2 = config.node2.pair()
         imp1, imp2 = config.node1.imperfections, config.node2.imperfections
-        r1 = np.array([pair1.r_coupled, pair1.r_uncoupled])
-        r2_by_depol = (
-            np.array([pair2.r_coupled, pair2.r_uncoupled]),
-            np.array([pair2.r_uncoupled, pair2.r_uncoupled]),
-        )
+        r1 = [pair1.r_coupled, pair1.r_uncoupled]
+        r2 = [pair2.r_coupled, pair2.r_uncoupled]
+        # A scrambled pulse meets node 2's empty pair on both branches.
+        reflection = (np.array([r1, r1]), np.array([r2, [pair2.r_uncoupled] * 2]))
+        loss = tuple(np.array([[_loss_amplitude(z) for z in row] for row in r]) for r in reflection)
         t_fiber = config.channel.transmission
         t_det = config.detection_efficiency
         eta_a = config.detector_a.efficiency
         eta_b = config.detector_b.efficiency
         amp = np.zeros((2, 2, 2, 8), dtype=complex)
         for d in (0, 1):
-            r2 = r2_by_depol[d]
             for x in (0, 1):
                 for y in (0, 1):
-                    kept1 = r1[x]
-                    kept2 = kept1 * math.sqrt(t_fiber) * r2[y]
+                    kept1 = reflection[0][d, x]
+                    kept2 = kept1 * math.sqrt(t_fiber) * reflection[1][d, y]
                     at_det = kept2 * math.sqrt(t_det)
                     amp[d, x, y] = [
-                        math.sqrt(max(0.0, 1.0 - abs(r1[x]) ** 2)),
+                        loss[0][d, x],
                         kept1 * math.sqrt(1.0 - t_fiber),
-                        kept1 * math.sqrt(t_fiber) * math.sqrt(max(0.0, 1.0 - abs(r2[y]) ** 2)),
+                        kept1 * math.sqrt(t_fiber) * loss[1][d, y],
                         kept2 * math.sqrt(1.0 - t_det),
                         at_det * math.sqrt((1.0 - eta_a) / 2.0),
                         at_det * math.sqrt(eta_a / 2.0),
@@ -121,6 +124,8 @@ class _Model:
         return cls(
             amp=amp,
             prob=prob,
+            reflection=reflection,
+            loss=loss,
             c_good=(g1, g2),
             c_bad=(b1, b2),
             visibility=(imp1.visibility(), imp2.visibility()),
@@ -148,42 +153,35 @@ def _atom_probabilities(
     fate_counts: (N, 8); depolarized: (N,) bool; c1, c2: (N, 2) complex.
     Returns (N, 2, 2) probabilities (index 0 = up).
 
-    The branch amplitude is psi[x, y] = c1[x] c2[y] prod_f amp[d, x, y, f]^count_f.
-    The power is taken only for the rows whose count in fate column f is
-    nonzero; every other row keeps an exact factor 1, as amp^0 = 1 would give.
-    Each atom's residual Z dephasing is the mixture of Z^0 and Z^1 with
-    weights (1 + v)/2 and (1 - v)/2, so the (a, b) sum below adds the
-    probabilities of (U1 Z^a) psi (U2 Z^b)^T, one product with the
-    Kronecker factor of the two rotations per term.
+    A record leaves the atoms in a product state: each photon's amplitude on
+    branch (x, y) is a node-1 factor (s1[x] if lost there, r1[x] if past it)
+    times a node-2 factor (s2[y], r2[y]) times constants equal on all four
+    branches, which the normalization cancels. So atom k holds
+    a_k = c_k s_k^lost_k r_k^kept_k (kept_k photons passed node k), and its
+    residual Z dephasing mixes Z^0 and Z^1 with weights (1 + v)/2 and
+    (1 - v)/2: P_k sums |U_k Z^a a_k|^2 over a, and P(z1, z2) = P1(z1) P2(z2).
     """
-    n_trials = fate_counts.shape[0]
-    depol = depolarized.astype(int)
-    factors = np.ones((n_trials, 2, 2), dtype=complex)
-    for f in range(fate_counts.shape[1]):
-        rows = np.flatnonzero(fate_counts[:, f])
-        if rows.size:
-            base = model.amp[depol[rows], :, :, f]  # (M, 2, 2)
-            factors[rows] *= np.power(base, fate_counts[rows, f][:, None, None])
-    psi = (c1[:, :, None] * c2[:, None, :] * factors).reshape(n_trials, 4)
-
-    kept1 = fate_counts.sum(axis=1) - fate_counts[:, _F_LOST1]
-    kept2 = kept1 - fate_counts[:, _F_FIBER] - fate_counts[:, _F_LOST2]
+    depol = depolarized.astype(np.intp)
+    lost1, lost2 = fate_counts[:, _F_LOST1], fate_counts[:, _F_LOST2]
+    kept1 = fate_counts.sum(axis=1) - lost1
+    kept2 = kept1 - fate_counts[:, _F_FIBER] - lost2
     v1 = model.visibility[0] * model.contrast[0] ** kept1
-    v2 = model.visibility[1] * np.where(
-        depolarized, 1.0, model.contrast[1] ** kept2
-    )
-
-    u1, u2 = model.rotation
-    probs = np.zeros((n_trials, 4))
-    # sa, sb = (-1)^a, (-1)^b: Z^a = diag(1, sa), with weight (1 + sa v1)/2.
-    for sa in (1.0, -1.0):
-        for sb in (1.0, -1.0):
-            w = (1.0 + sa * v1) / 2.0 * ((1.0 + sb * v2) / 2.0)
+    v2 = model.visibility[1] * np.where(depolarized, 1.0, model.contrast[1] ** kept2)
+    atoms = []
+    for r, s, c, lost, kept, v, u in zip(
+        model.reflection, model.loss, (c1, c2), (lost1, lost2), (kept1, kept2), (v1, v2), model.rotation
+    ):
+        a = c * s[depol] ** lost[:, None] * r[depol] ** kept[:, None]
+        probs = 0.0
+        for sign in (1.0, -1.0):  # Z^0, Z^1 = diag(1, sign)
             # einsum keeps each row's sum order whatever the batch size; a
             # matmul would take the matrix-vector path for one row.
-            rotated = np.einsum("nj,ij->ni", psi, np.kron(u1 * [1.0, sa], u2 * [1.0, sb]))
-            probs += w[:, None] * np.abs(rotated) ** 2
-    return (probs / probs.sum(axis=1)[:, None]).reshape(n_trials, 2, 2)
+            rotated = np.einsum("nj,ij->ni", a, u * [1.0, sign])
+            probs = probs + (1.0 + sign * v)[:, None] / 2.0 * np.abs(rotated) ** 2
+        total = probs.sum(axis=1)
+        # Squares below the smallest normal double have lost precision: NaN, which the sampler refuses.
+        atoms.append(probs / np.where(total >= np.finfo(float).tiny, total, np.nan)[:, None])
+    return atoms[0][:, :, None] * atoms[1][:, None, :]
 
 
 def _distinct_rows(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -229,18 +227,19 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     The deterministic work is done once per distinct input and gathered back
     per trial, as 1-D columns of small tables. The branch-label weights depend
     only on (prep1, prep2), so they come from a 4-row table. The atom outcome
-    probabilities depend only on the record (fate_counts row, depolarized,
-    prep1, prep2), so `_atom_probabilities` runs once per distinct record: a
-    few dozen at low mu, a few thousand at mu ~ 3 for 10^5 trials, always
-    including the eight photon-free records. The fates are drawn per branch
-    for the trials with photons only.
+    probabilities depend only on what the atoms see, the record: depolarized,
+    prep1, prep2, n and the photons lost at node 1, in the fiber and at
+    node 2. How the other photons split behind node 2 reaches no atom. So
+    `_atom_probabilities` runs once per distinct record: about 20 at low mu
+    and 700 at mu ~ 3 for 10^5 trials, plus the eight photon-free records.
+    The fates are drawn per branch for the trials with photons only.
 
     The samples are those of one draw and one computation per trial, in trial
     order: every stream draws the same numbers in the same order, because
     numpy's multinomial draws nothing for n = 0 and a stable sort keeps each
     branch's trials in trial order; and any member of a record group gives
     the same probabilities, because each row's probabilities are computed
-    from that row alone.
+    from that row's record alone.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -286,7 +285,7 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     # by (depolarized, prep1, prep2) alone: table rows 0-7 hold those eight
     # records, and only the trials with photons are grouped, into rows 8, 9, ...
     record = 4 * depolarized + prep
-    member, group = _distinct_rows(column[lit] for column in (record, *fate_counts.T))
+    member, group = _distinct_rows(column[lit] for column in (record, n, *fate_counts.T[:_F_LOSTD]))
     first = lit[member]
     row_record = np.concatenate([np.arange(8), record[first]])
     probs = _atom_probabilities(
@@ -296,7 +295,7 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
         c1[row_record // 2 % 2],
         c2[row_record % 2],
     )
-    # Past a few hundred photons the normalization underflows to 0 (NaN rows).
+    # Near a thousand photons at the default config an atom's normalization underflows (NaN rows).
     lost = int((~np.isfinite(probs).all(axis=(1, 2))).sum())
     if lost:
         raise QndsimError(

@@ -279,6 +279,26 @@ class TestRunAndCompare:
         _, rows_b = build_figure("fig2", perturbed)
         assert rows_a[0][0] == rows_b[0][0]
 
+    @pytest.mark.parametrize(
+        "edits",
+        [{"g2_zero": "nan"}, {"g2_zero": "inf"}, {"g2_zero": ""}, {"g2_zero": "5.0", "g2_zero_stderr": "inf"}],
+    )
+    def test_compare_fails_a_cell_it_cannot_difference(self, tmp_path, base_config, edits):
+        run("table1", base_config, str(tmp_path / "a"))
+        run("table1", base_config, str(tmp_path / "b"))
+        csv_b = tmp_path / "b" / "table1.csv"
+        header, *rows = [line.split(",") for line in csv_b.read_text().splitlines()]
+        for column, text in edits.items():
+            rows[1][header.index(column)] = text
+        csv_b.write_text("".join(",".join(line) + "\n" for line in (header, *rows)))
+        report = compare(str(tmp_path / "a" / "manifest.json"), str(tmp_path / "b" / "manifest.json"))
+        assert not report["pass"]
+        cell = {"file": "table1.csv", "row": 1, "column": "g2_zero", "diff": None, "sigma": None}
+        assert report["worst"] == [cell]
+        # a cell both runs write as the same text passes, whether or not it is a number
+        report = compare(str(tmp_path / "b" / "manifest.json"), str(tmp_path / "b" / "manifest.json"))
+        assert report["pass"]
+
 
 class TestCliMain:
     def test_full_cli_run(self, tmp_path):

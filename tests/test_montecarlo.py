@@ -27,6 +27,7 @@ from qndsim.montecarlo import (
     _F_FIBER,
     _F_LOST1,
     _F_LOST2,
+    _F_LOSTD,
     _atom_probabilities,
     _distinct_rows,
     _Model,
@@ -263,20 +264,81 @@ class TestSamplerMatchesReference:
         assert_same_samples(build_config(values), 0.0, 20_000)
 
 
+class TestKernelReadsOnlyWhatTheAtomsSee:
+    """The grouping's premise: how the photons split behind node 2 reaches no atom."""
+
+    def test_detector_side_split_changes_no_bit(self, base_config):
+        rng = np.random.default_rng(3)
+        rows = 2_000
+        model = _Model.from_config(base_config)
+        node_side = rng.integers(0, 3, size=(rows, _F_LOSTD))
+        detector_side = rng.multinomial(rng.integers(0, 6, size=rows), [0.2] * 5)
+        fate_counts = np.hstack([node_side, detector_side])
+        depolarized = rng.random(rows) < 0.5
+        prep = rng.integers(0, 2, size=(rows, 2))
+        c1 = np.stack([model.c_bad[0], model.c_good[0]])[prep[:, 0]]
+        c2 = np.stack([model.c_bad[1], model.c_good[1]])[prep[:, 1]]
+        probs = _atom_probabilities(model, fate_counts, depolarized, c1, c2).reshape(rows, 4)
+
+        seen = np.column_stack([depolarized, prep, fate_counts.sum(axis=1), node_side])
+        _, first, group = np.unique(seen, axis=0, return_index=True, return_inverse=True)
+        representative = first[group.ravel()]
+        possible = np.isfinite(probs).all(axis=1)  # impossible records give NaN
+        np.testing.assert_array_equal(
+            probs[possible].view(np.uint64), probs[representative][possible].view(np.uint64)
+        )
+        # Hundreds of rows share what their atoms see with a row whose split differs.
+        assert ((fate_counts != fate_counts[representative]).any(axis=1) & possible).sum() > 500
+
+
+class TestKernelNearUnderflow:
+    """An atom whose squared amplitudes reach the subnormal range is refused, not rounded."""
+
+    def test_rows_are_exact_or_not_finite(self, base_config):
+        # The default uncoupled pair at node 1 is lossless, so a photon lost
+        # there leaves atom 1 on its coupled branch alone: its outcome
+        # probabilities are |U1[:, 0]|^2 however small the amplitude
+        # s^lost r^kept. Every photon past node 1 is lost in the fiber, so
+        # atom 2 stays as if no photon came. Between about 500 and 525 photons
+        # of each kind, atom 1's squares are subnormal.
+        model = _Model.from_config(base_config)
+        assert not model.prob[:, 1, :, _F_LOST1].any()
+        photons = np.arange(300, 700)
+        rows = photons.size
+        fate_counts = np.zeros((rows, 8), dtype=np.int64)
+        fate_counts[:, _F_LOST1] = photons
+        fate_counts[:, _F_FIBER] = photons
+        depolarized = np.zeros(rows, dtype=bool)
+        c1, c2 = (np.tile(c, (rows, 1)) for c in model.c_good)
+        probs = _atom_probabilities(model, fate_counts, depolarized, c1, c2)
+
+        no_fates = np.zeros((1, 8), dtype=np.int64)
+        photon_free = _atom_probabilities(model, no_fates, depolarized[:1], c1[:1], c2[:1])[0]
+        up_or_down = np.abs(model.rotation[0][:, 0]) ** 2
+        expected = (up_or_down / up_or_down.sum())[:, None] * photon_free.sum(axis=0)[None, :]
+        finite = np.isfinite(probs).all(axis=(1, 2))
+        assert finite[0] and not finite[-1]
+        kept = probs[finite]
+        np.testing.assert_allclose(kept, np.broadcast_to(expected, kept.shape), rtol=0.0, atol=1e-15)
+
+
 class TestGroupingIsExact:
     """Records whose mixed-radix key would pass int64 are still grouped exactly."""
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("mean_photon", [1000.0, 3000.0])
     def test_thousands_of_photons(self, base_config, mean_photon):
-        # At 3000 the key passes 2^62 and the dense-id merge runs. At these
-        # photon numbers the kernel's normalization underflows for every
-        # grouped record, so the sampler refuses to draw rather than read each
-        # trial as both atoms up; test_rows_past_an_int64_key checks the
-        # grouping itself.
-        every_record = rf"mean photon number {mean_photon}: (\d+) of \1 distinct trial records"
-        with pytest.raises(QndsimError, match=every_record) as raised:
-            _simulate_arrays(base_config, mean_photon, 2_000)
+        # At these photon numbers the normalization underflows for some
+        # grouped records, so the sampler refuses to draw rather than read
+        # those trials as both atoms up. The message counts exactly the rows
+        # with photons whose kernel output is not finite;
+        # test_rows_past_an_int64_key checks the grouping itself.
+        with mock.patch.object(montecarlo, "_atom_probabilities", wraps=_atom_probabilities) as kernel:
+            with pytest.raises(QndsimError) as raised:
+                _simulate_arrays(base_config, mean_photon, 2_000)
+        with_photons = _atom_probabilities(*kernel.call_args.args)[8:]
+        lost = int((~np.isfinite(with_photons).all(axis=(1, 2))).sum())
+        message = f"mean photon number {mean_photon}: {lost} of {len(with_photons)} distinct trial records"
+        assert message in str(raised.value)
         assert raised.value.category == "runtime"
 
     def test_largest_fock_input(self, base_config):
