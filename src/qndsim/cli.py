@@ -3,6 +3,7 @@
 Usage:
     qndsim {fig2,fig3,fig4,table1,figS1,sorter} --config FILE --out DIR
            [--mode exact|mc] [--trials N] [--seed S]
+    (sorter runs a fixed configuration and takes no --config)
     qndsim compare MANIFEST_A MANIFEST_B
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error,
@@ -19,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
 from .config import default_config, parse_config, serialize_config
@@ -45,6 +46,9 @@ _NODARK_FIGURES = ("fig3", "fig4")
 _EXACT_ONLY_FIGURES = ("figS1", "sorter")
 # Failing cells that `compare` names in its report.
 _WORST_CELLS = 5
+# The number sorter runs this one configuration; the experiment config does not
+# reach it, so the manifest records this instead and `--config` is refused.
+SORTER_CONFIG = SorterConfig(k=2, input_kind="coherent", mean_photon=0.5, n_max=3)
 
 
 def _format(value: str | float | None) -> str:
@@ -126,7 +130,6 @@ def build_figure(figure: str, config: ExperimentConfig) -> tuple[list[str], list
             for row in g2_table(config, mu)
         ]
     elif figure == "sorter":
-        sorter_cfg = SorterConfig(k=2, input_kind="coherent", mean_photon=0.5, n_max=3)
         rows = [
             {
                 "herald": str(res.herald),
@@ -134,7 +137,7 @@ def build_figure(figure: str, config: ExperimentConfig) -> tuple[list[str], list
                 "fidelity": res.fidelity,
                 "mean_photon_out": res.state.mean_photon(),
             }
-            for res in run_sorter(sorter_cfg)
+            for res in run_sorter(SORTER_CONFIG)
         ]
     else:
         raise ConfigError(f"unknown figure {figure!r}; choose from {FIGURES}")
@@ -160,7 +163,9 @@ def run(
 ) -> dict:
     """Write one figure CSV plus manifest.json to out_dir, and return the manifest.
 
-    Run settings that are given override the config's.
+    Run settings that are given override the config's. The manifest's
+    "config" is the config's file form; for the sorter, which does not read
+    it, it is the fields of the SorterConfig that ran.
     """
     overrides = {"mode": mode, "trials": trials, "seed": seed}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
@@ -184,7 +189,7 @@ def run(
             "trials": config.trials,
             "seed": config.seed,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "config": serialize_config(config),
+            "config": asdict(SORTER_CONFIG) if figure == "sorter" else serialize_config(config),
             "files": [{"name": os.path.basename(csv_path), "sha256": _sha256(csv_path)}],
         }
         with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -310,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
             report = compare(args.manifest_a, args.manifest_b)
             print(json.dumps(report, indent=2, sort_keys=True))
             return 0 if report["pass"] else 4
+        if args.command == "sorter" and args.config:
+            raise ConfigError("sorter runs a fixed SorterConfig and reads no --config")
         config = parse_config(args.config) if args.config else default_config()
         manifest = run(
             args.command,

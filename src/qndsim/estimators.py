@@ -128,9 +128,8 @@ def sweep_estimates(config: ExperimentConfig, cells: Sequence[str] = CELLS) -> E
     if config.mode == "monte_carlo":
         from . import montecarlo
 
-        return EstimateTable(
-            tuple(montecarlo.estimate(config, mu, config.trials, cells) for mu in config.mean_photon_sweep)
-        )
+        point = lambda mu: montecarlo.estimate(config, mu, config.trials, cells)
+        return EstimateTable(tuple(montecarlo.map_sweep(point, config)))
 
     split = not _ATOM_MASKS.keys() >= set(cells)
     rows = []
@@ -166,9 +165,8 @@ def sweep_with_nodark(
         return sweep_estimates(config, cells), sweep_estimates(quiet_detectors(config), cells)
     from . import montecarlo
 
-    dark, nodark = zip(
-        *(montecarlo.estimate_with_nodark(config, mu, config.trials, cells) for mu in config.mean_photon_sweep)
-    )
+    point = lambda mu: montecarlo.estimate_with_nodark(config, mu, config.trials, cells)
+    dark, nodark = zip(*montecarlo.map_sweep(point, config))
     return EstimateTable(dark), EstimateTable(nodark)
 
 

@@ -8,14 +8,18 @@ optics are linear with branch-conditioned amplitudes; the test suite asserts
 agreement with the exact engine instead of assuming it.
 
 Randomness comes from counter-based Philox streams keyed by
-(seed, stage, sweep point), so results are reproducible independent of
-scheduling and identical for identical (config, seed).
+(seed, stage, sweep point), so results are identical for identical
+(config, seed). The points of a sweep run concurrently (`map_sweep`), and
+because each point draws only from its own streams, the result does not
+depend on how they are scheduled.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+import os
+from collections.abc import Callable, Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +61,27 @@ def _sweep_stream(seed: int, mean_photon: float, name: str) -> np.random.Generat
     # The trailing 2 is a fixed tag: changing it would change every seed's streams.
     counter = [0, _STAGES[name], _mu_tag(mean_photon), 2]
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_sweep(point: Callable[[float], object], config: ExperimentConfig) -> list:
+    """`point(mu)` for each mean photon number of the config's sweep, in sweep order.
+
+    The points run concurrently on a thread pool, one worker per usable CPU
+    and at most one per point: numpy's draws and sorts release the GIL.
+    Each point draws from its own streams, so the results do not depend on
+    the schedule. An error surfaces as a serial loop raises it: the first
+    failing point in sweep order, and the points not yet started are
+    cancelled.
+    """
+    points = config.mean_photon_sweep
+    with ThreadPoolExecutor(max_workers=min(len(points), _usable_cpus())) as pool:
+        return list(pool.map(point, points))
 
 
 @dataclass(frozen=True)
@@ -202,19 +227,42 @@ def _distinct_rows(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     for col in columns:
         base = int(col.max(initial=0)) + 1
         if bound * base <= 2**62:
-            key, bound = key * base + col, bound * base
-            continue
-        order = np.lexsort((col, key))
-        pairs = np.stack([key, col])[:, order]
-        new = np.ones(order.size, dtype=bool)
-        new[1:] = (pairs[:, 1:] != pairs[:, :-1]).any(axis=0)
-        key = np.empty_like(key)
-        key[order] = np.cumsum(new) - 1
-        bound = int(new.sum())
-    groups, inverse = np.unique(key, return_inverse=True)
-    member = np.empty(groups.size, dtype=np.intp)
-    member[inverse] = np.arange(inverse.size)
-    return member, inverse
+            key *= base
+            key += col.astype(np.int64, copy=False)
+            bound *= base
+        else:
+            merged, key = _number_columns(np.stack([key, col]), np.lexsort((col, key)))
+            bound = merged.size
+    return _number_columns(key[None], np.argsort(key))
+
+
+def _number_columns(rows: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One member of each group of equal columns of `rows` (k, N), and each column's group.
+
+    `order` sorts the columns; the groups are numbered 0, 1, ... in that order.
+    """
+    ordered = rows[:, order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    del ordered
+    ranks = np.cumsum(new, dtype=np.int64)
+    ranks -= 1
+    group = np.empty_like(ranks)
+    group[order] = ranks
+    return order[new], group
+
+
+def _categories(rng: np.random.Generator, cumulative: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """One category per trial, drawn from the cumulative weights in column `index` of `cumulative`.
+
+    cumulative: (categories, rows), non-decreasing down each column. A uniform
+    u in [0, 1) scaled to the column's total picks the number of cumulative
+    weights it reaches. The scaled draw stays below a normal total, so the
+    test against the total is skipped. Returns uint8 indices.
+    """
+    u = rng.random(index.size)
+    u *= cumulative[-1][index]
+    return sum((u >= col[index]).astype(np.uint8) for col in cumulative[:-1])
 
 
 def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) -> dict:
@@ -222,7 +270,9 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
 
     Returns per-trial arrays: photon number "n", "fate_counts" (trials, 8) in
     the _F_* column order, "depolarized", the readouts "s1"/"s2" (True = up)
-    and the detector clicks "click_a"/"click_b".
+    and the detector clicks "click_a"/"click_b". "n" and "fate_counts" are
+    held in the smallest unsigned type that holds the largest photon number
+    drawn (uint8 below 256 photons), so no count can overflow.
 
     The deterministic work is done once per distinct input and gathered back
     per trial, as 1-D columns of small tables. The branch-label weights depend
@@ -232,14 +282,17 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     node 2. How the other photons split behind node 2 reaches no atom. So
     `_atom_probabilities` runs once per distinct record: about 20 at low mu
     and 700 at mu ~ 3 for 10^5 trials, plus the eight photon-free records.
-    The fates are drawn per branch for the trials with photons only.
+    The fates are drawn per branch for the trials with photons only. Every
+    trial-length array but the returned ones and the outcome table's row
+    index is a byte per trial or dies in the step that made it, so a point
+    at 10^5 trials needs a few MB.
 
     The samples are those of one draw and one computation per trial, in trial
     order: every stream draws the same numbers in the same order, because
-    numpy's multinomial draws nothing for n = 0 and a stable sort keeps each
-    branch's trials in trial order; and any member of a record group gives
-    the same probabilities, because each row's probabilities are computed
-    from that row's record alone.
+    numpy's multinomial draws nothing for n = 0 and each branch's trials are
+    taken in trial order; and any member of a record group gives the same
+    probabilities, because each row's probabilities are computed from that
+    row's record alone.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -252,41 +305,36 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     prep1 = stream("prep1").random(trials) < model.prep[0]
     prep2 = stream("prep2").random(trials) < model.prep[1]
     if config.input_kind == "fock":
-        n = np.full(trials, config.fock_n, dtype=np.int64)
+        n = np.full(trials, config.fock_n, dtype=np.min_scalar_type(config.fock_n))
     else:
         n = stream("photon_number").poisson(mean_photon, size=trials)
+        n = n.astype(np.min_scalar_type(n.max()))
     depolarized = stream("depolarization").random(trials) < model.scramble
+    # What a trial draws before its fates: 4 depolarized + 2 prep1 + prep2.
+    record = depolarized * np.uint8(4) + prep1 * np.uint8(2) + prep2
 
     # Post-first-pulse amplitudes indexed by prep outcome (1 = prepared).
     c1 = np.stack([model.c_bad[0], model.c_good[0]])
     c2 = np.stack([model.c_bad[1], model.c_good[1]])
-    prep = 2 * prep1.astype(np.intp) + prep2
     w = np.abs(c1[:, None, :, None] * c2[None, :, None, :]) ** 2  # (prep1, prep2, x, y)
-    w_cum = np.cumsum(w.reshape(4, 4), axis=-1).T  # (x * 2 + y, prep)
-    u = stream("branch_label").random(trials) * w_cum[3][prep]
-    label = sum((u >= col[prep]).astype(np.uint8) for col in w_cum)  # x * 2 + y
-    branch = 2 * label + depolarized
+    w_cum = np.tile(np.cumsum(w.reshape(4, 4), axis=-1).T, 2)  # (x * 2 + y, record)
+    branch = 2 * _categories(stream("branch_label"), w_cum, record) + depolarized  # 2 (x * 2 + y) + d
 
-    fate_counts = np.zeros((trials, 8), dtype=np.int64)
+    fate_counts = np.zeros((trials, 8), dtype=n.dtype)
     fate_rng = stream("fates")
-    lit = np.flatnonzero(n)
-    lit_branch = branch[lit]
-    by_branch = lit[np.argsort(lit_branch, kind="stable")]
-    start = np.concatenate([[0], np.cumsum(np.bincount(lit_branch, minlength=8))])
+    lit = n > 0
     for d in (0, 1):
         for xx in (0, 1):
             for yy in (0, 1):
-                k = 2 * (2 * xx + yy) + d
-                rows = by_branch[start[k] : start[k + 1]]
+                rows = np.flatnonzero(lit & (branch == 2 * (2 * xx + yy) + d))
                 if rows.size:
                     fate_counts[rows] = fate_rng.multinomial(n[rows], model.prob[d, xx, yy])
 
     # A photon-free trial's fate counts are all zero, so its record is fixed
     # by (depolarized, prep1, prep2) alone: table rows 0-7 hold those eight
     # records, and only the trials with photons are grouped, into rows 8, 9, ...
-    record = 4 * depolarized + prep
     member, group = _distinct_rows(column[lit] for column in (record, n, *fate_counts.T[:_F_LOSTD]))
-    first = lit[member]
+    first = np.flatnonzero(lit)[member]
     row_record = np.concatenate([np.arange(8), record[first]])
     probs = _atom_probabilities(
         model,
@@ -302,13 +350,12 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
             f"Monte Carlo outcome probabilities underflow at mean photon number {mean_photon}: "
             f"{lost} of {len(member)} distinct trial records with photons have no finite probabilities"
         )
-    row = record.copy()
+    row = record.astype(np.intp)
     row[lit] = 8 + group
-    p_cum = probs.reshape(-1, 4).cumsum(axis=1).T  # (z1 * 2 + z2, table row)
-    r = stream("atom_outcome").random(trials) * p_cum[3][row]
-    # The cumulative weights do not decrease, so r reaches the last one only
-    # where it reaches all four; an outcome index capped at 3 skips that test.
-    z = sum((r >= col[row]).astype(np.uint8) for col in p_cum[:3])
+    del group
+    # z1 * 2 + z2; the cumulative outcome weights are (z1 * 2 + z2, table row).
+    z = _categories(stream("atom_outcome"), probs.reshape(-1, 4).cumsum(axis=1).T, row)
+    del row
     s1_up = (z < 2) ^ (stream("readout1").random(trials) < 1.0 - model.readout[0])
     s2_up = (z % 2 == 0) ^ (stream("readout2").random(trials) < 1.0 - model.readout[1])
     click_a = (fate_counts[:, _F_AHIT] > 0) | (stream("dark_a").random(trials) < model.p_dark[0])

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from conftest import random_configs
 from qndsim import montecarlo
-from qndsim.cli import FIGURES, build_figure, compare, main, run
+from qndsim.cli import FIGURES, SORTER_CONFIG, build_figure, compare, main, run
 from qndsim.config import (
     build_config,
     config_values,
@@ -19,6 +19,7 @@ from qndsim.config import (
 )
 from qndsim.errors import ConfigError, TruncationError
 from qndsim.estimators import quiet_detectors
+from qndsim.sorter import SorterConfig
 
 
 class TestParseConfig:
@@ -315,6 +316,24 @@ class TestCliMain:
         assert error["message"].startswith(f"{figure} is exact-only")
         assert not (tmp_path / f"{figure}.csv").exists()
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_sorter_refuses_config(self, tmp_path, capsys):
+        # The sorter runs SORTER_CONFIG whatever the file says, so a file
+        # would only be recorded, never read.
+        config_path = tmp_path / "changed.cfg"
+        config_path.write_text("channel.transmission = 0.2\nnode1.g = 3.0\n")
+        rc = main(["sorter", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"category": "config", "message": "sorter runs a fixed SorterConfig and reads no --config"}
+        assert not (tmp_path / "out").exists()
+
+    def test_sorter_manifest_records_the_config_that_ran(self, tmp_path):
+        assert main(["sorter", "--out", str(tmp_path)]) == 0
+        recorded = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert recorded == asdict(SORTER_CONFIG)
+        assert SorterConfig(**recorded) == SORTER_CONFIG
+        assert (recorded["k"], recorded["mean_photon"], recorded["n_max"]) == (2, 0.5, 3)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -456,6 +461,16 @@ class TestSimulateArrays:
         surviving = n[:, None] - np.cumsum(fates[:, :4], axis=1)
         assert (surviving >= 0).all() and (surviving <= n[:, None]).all()
 
+    @pytest.mark.parametrize("mean_photon, dtype", [(0.45, np.uint8), (300.0, np.uint16)])
+    def test_counts_kept_in_the_smallest_type_that_holds_them(self, base_config, mean_photon, dtype):
+        arrays = _simulate_arrays(base_config, mean_photon, 2_000)
+        n, fates = arrays["n"], arrays["fate_counts"]
+        assert n.dtype == fates.dtype == dtype
+        assert (n.max() > 255) == (dtype == np.uint16)
+        np.testing.assert_array_equal(fates.sum(axis=1), n)
+        expected = reference_simulate_arrays(base_config, mean_photon, 2_000)
+        np.testing.assert_array_equal(fates, expected["fate_counts"])
+
     def test_matches_exact_engine_statistically(self, base_config):
         mu, trials = 0.084, 20_000
         exact = cells_from_distribution(run_cascade(base_config, mu))
@@ -617,7 +632,7 @@ class TestOneSimulationPerPoint:
 
     @pytest.fixture
     def simulated(self, monkeypatch):
-        """The mean photon number of every _simulate_arrays call, in order."""
+        """The mean photon number of every _simulate_arrays call, in the order the calls began."""
         seen = []
         original = montecarlo._simulate_arrays
 
@@ -635,11 +650,92 @@ class TestOneSimulationPerPoint:
     @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4"])
     def test_sweep_figures(self, config, simulated, figure):
         build_figure(figure, config)
-        assert simulated == list(self.SWEEP)
+        # The points run concurrently, so they may begin in any order.
+        assert Counter(simulated) == Counter(self.SWEEP)
 
     def test_table1(self, config, simulated):
         build_figure("table1", config)
         assert simulated == [0.45]
+
+
+class TestSweepPool:
+    """Sweep points run on a thread pool and come back in sweep order, whatever the worker count."""
+
+    SWEEP = (1.3, 0.1, 0.45, 0.04)  # not sorted, so sweep order is not value order
+
+    @pytest.fixture
+    def use_cpus(self, monkeypatch):
+        """Set the usable CPU count; returns the setter and the pool sizes map_sweep asked for."""
+        sizes = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+
+        def use(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+        return use, sizes
+
+    @pytest.fixture
+    def config(self, base_config):
+        return replace(base_config, mode="monte_carlo", trials=2_000, seed=7, mean_photon_sweep=self.SWEEP)
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4"])
+    def test_rows_in_sweep_order_for_any_worker_count(self, config, use_cpus, figure):
+        use, sizes = use_cpus
+        built = []
+        for cpus in (1, 4, 8):
+            use(cpus)
+            built.append(build_figure(figure, config))
+        assert sizes == [1, 4, 4]  # one worker per usable CPU, at most one per point
+        assert built[1] == built[0] and built[2] == built[0]
+        header, rows = built[0]
+        assert [float(row[header.index("mu")]) for row in rows] == list(self.SWEEP)
+
+    def test_rows_equal_the_serial_loop(self, config, use_cpus):
+        use, _ = use_cpus
+        use(4)
+        cells = cli._FIGURE_CELLS["fig3"]
+        serial = [estimate_with_nodark(config, mu, config.trials, cells) for mu in self.SWEEP]
+        dark, nodark = sweep_with_nodark(config, cells)
+        assert (dark.rows, nodark.rows) == tuple(zip(*serial))
+        serial = tuple(estimate(config, mu, config.trials) for mu in self.SWEEP)
+        assert sweep_estimates(config).rows == serial
+
+    @pytest.mark.parametrize("sweep", [(0.45, 1000.0, 3000.0), (0.45, 3000.0, 1000.0)])
+    def test_failing_point_raises_the_serial_error(self, base_config, use_cpus, sweep):
+        # Both late points underflow (see test_thousands_of_photons) with
+        # different messages; the first in sweep order is the one raised,
+        # whichever of the two concurrent points fails first.
+        use, _ = use_cpus
+        use(4)
+        point = lambda mu: estimate(base_config, mu, 2_000)
+        with pytest.raises(QndsimError) as serial:
+            [point(mu) for mu in sweep]
+        assert f"mean photon number {sweep[1]}:" in str(serial.value)
+        with pytest.raises(QndsimError) as pooled:
+            montecarlo.map_sweep(point, SimpleNamespace(mean_photon_sweep=sweep))
+        assert str(pooled.value) == str(serial.value)
+
+    def test_failing_point_exits_3_with_its_message(self, tmp_path, capsys, monkeypatch):
+        def failing(config, mean_photon, trials, cells):
+            if mean_photon >= 0.45:
+                raise QndsimError(f"point {mean_photon} failed")
+            return original(config, mean_photon, trials, cells)
+
+        original = montecarlo.estimate_with_nodark
+        monkeypatch.setattr(montecarlo, "estimate_with_nodark", failing)
+        config_path = tmp_path / "sweep.cfg"
+        config_path.write_text("sweep.mu = 0.1, 0.45, 1.3\n")
+        argv = ["fig3", "--config", str(config_path), "--mode", "mc", "--trials", "1000", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 3
+        assert json.loads(capsys.readouterr().err) == {"category": "runtime", "message": "point 0.45 failed"}
+        assert not (tmp_path / "out" / "fig3.csv").exists()
 
 
 class TestRequestedCells:
