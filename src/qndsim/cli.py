@@ -28,7 +28,6 @@ from .errors import ConfigError, QndsimError
 from .estimators import SINGLE_NODE_MASKS, EstimateTable, cells_from_table, g2_table, quiet_detectors
 from .estimators import sweep_estimates, sweep_with_nodark
 from .protocol import ExperimentConfig, run_single_each
-from .sorter import SorterConfig, run_sorter
 
 FIGURES = ("fig2", "fig3", "fig4", "table1", "figS1", "sorter")
 
@@ -46,9 +45,6 @@ _NODARK_FIGURES = ("fig3", "fig4")
 _EXACT_ONLY_FIGURES = ("figS1", "sorter")
 # Failing cells that `compare` names in its report.
 _WORST_CELLS = 5
-# The number sorter runs this one configuration; the experiment config does not
-# reach it, so the manifest records this instead and `--config` is refused.
-SORTER_CONFIG = SorterConfig(k=2, input_kind="coherent", mean_photon=0.5, n_max=3)
 
 
 def _format(value: str | float | None) -> str:
@@ -130,6 +126,9 @@ def build_figure(figure: str, config: ExperimentConfig) -> tuple[list[str], list
             for row in g2_table(config, mu)
         ]
     elif figure == "sorter":
+        # Only this selection runs the sorter, so only it imports the module.
+        from .sorter import SORTER_CONFIG, run_sorter
+
         rows = [
             {
                 "herald": str(res.herald),
@@ -165,7 +164,7 @@ def run(
 
     Run settings that are given override the config's. The manifest's
     "config" is the config's file form; for the sorter, which does not read
-    it, it is the fields of the SorterConfig that ran.
+    it, it is the fields of `sorter.SORTER_CONFIG`, the SorterConfig that ran.
     """
     overrides = {"mode": mode, "trials": trials, "seed": seed}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
@@ -181,6 +180,12 @@ def run(
             for row in rows:
                 fh.write(",".join(row) + "\n")
         created.append(csv_path)
+        if figure == "sorter":
+            from .sorter import SORTER_CONFIG
+
+            recorded = asdict(SORTER_CONFIG)
+        else:
+            recorded = serialize_config(config)
         manifest = {
             "artifact": "qndsim",
             "artifact_version": __version__,
@@ -189,7 +194,7 @@ def run(
             "trials": config.trials,
             "seed": config.seed,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "config": asdict(SORTER_CONFIG) if figure == "sorter" else serialize_config(config),
+            "config": recorded,
             "files": [{"name": os.path.basename(csv_path), "sha256": _sha256(csv_path)}],
         }
         with open(manifest_path, "w", encoding="utf-8") as fh:

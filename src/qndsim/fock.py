@@ -316,7 +316,14 @@ def _apply_channel(
     kraus_ops: Sequence[np.ndarray],
     targets: Sequence[int],
 ) -> np.ndarray:
-    """Apply sum_k K rho K^dagger where each K acts on the given subsystems."""
+    """Apply sum_k K rho K^dagger where each K acts on the given subsystems.
+
+    When the family acts on every subsystem and the input is diagonal on its
+    support, the input is a mixture of basis states |b>, and the output is
+    sum_b w_b sum_k K|b><b|K^dagger: one outer product per basis state on
+    the rows its column reaches (in the detector split, the n + 1 states of
+    n photons). Any other input takes two gemms over the support and the image.
+    """
     k = len(dims)
     targets = list(targets)
     others = [i for i in range(k) if i not in targets]
@@ -336,21 +343,33 @@ def _apply_channel(
     if support.size < dt:
         t = t[support][:, :, support]
         kraus = kraus[:, :, support]
-    # Output indices that no operator reaches from the support (the image)
-    # stay exactly zero, so only the image's rows are contracted.
-    image = np.flatnonzero(kraus.any(axis=(0, 2)))
-    if image.size < dt:
-        kraus = kraus[:, image]
-    nk, ni, ns = kraus.shape
-    # The whole family in two BLAS calls:
-    # m[k,a,r,c,s] = sum_b K[k,a,b] T[b,r,c,s]
-    m = (kraus.reshape(nk * ni, ns) @ t.reshape(ns, dr * ns * dr)).reshape(nk, ni, dr, ns, dr)
-    # out[a,r,d,s] = sum_{k,c} m[k,a,r,c,s] conj(K[k,d,c])
-    m = m.transpose(1, 2, 4, 0, 3).reshape(ni * dr * dr, nk * ns)
-    right = kraus.conj().transpose(0, 2, 1).reshape(nk * ns, ni)
+    ns = support.size
     out = np.zeros((dt, dr, dt, dr), dtype=complex)
-    every = np.arange(dr)
-    out[np.ix_(image, every, image, every)] = (m @ right).reshape(ni, dr, dr, ni).transpose(0, 1, 3, 2)
+    weights = np.diagonal(t.reshape(ns, ns)) if dr == 1 else None
+    if weights is not None and np.count_nonzero(t) == np.count_nonzero(weights):
+        # No product is larger than one column's reach, far below the size
+        # at which OpenBLAS hands work to a second thread.
+        square = out.reshape(dt, dt)
+        reached = kraus.any(axis=0)
+        for b, weight in enumerate(weights):
+            reach = np.flatnonzero(reached[:, b])
+            column = kraus[:, reach, b]
+            square[reach[:, None], reach] += weight * (column.T @ column.conj())
+    else:
+        # Output indices that no operator reaches from the support (the
+        # image) stay exactly zero, so only the image's rows are contracted.
+        image = np.flatnonzero(kraus.any(axis=(0, 2)))
+        if image.size < dt:
+            kraus = kraus[:, image]
+        nk, ni = kraus.shape[:2]
+        # The whole family in two BLAS calls:
+        # m[k,a,r,c,s] = sum_b K[k,a,b] T[b,r,c,s]
+        m = (kraus.reshape(nk * ni, ns) @ t.reshape(ns, dr * ns * dr)).reshape(nk, ni, dr, ns, dr)
+        # out[a,r,d,s] = sum_{k,c} m[k,a,r,c,s] conj(K[k,d,c])
+        m = m.transpose(1, 2, 4, 0, 3).reshape(ni * dr * dr, nk * ns)
+        right = kraus.conj().transpose(0, 2, 1).reshape(nk * ns, ni)
+        every = np.arange(dr)
+        out[np.ix_(image, every, image, every)] = (m @ right).reshape(ni, dr, dr, ni).transpose(0, 1, 3, 2)
     out = out.reshape([dims[i] for i in perm] * 2)
     inv = list(np.argsort(perm))
     out = np.transpose(out, axes=[*inv, *[k + int(p) for p in inv]])

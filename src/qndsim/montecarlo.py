@@ -185,6 +185,11 @@ def _atom_probabilities(
     a_k = c_k s_k^lost_k r_k^kept_k (kept_k photons passed node k), and its
     residual Z dephasing mixes Z^0 and Z^1 with weights (1 + v)/2 and
     (1 - v)/2: P_k sums |U_k Z^a a_k|^2 over a, and P(z1, z2) = P1(z1) P2(z2).
+    The normalization also cancels a factor common to both branches, so each
+    (depolarized) row of r_k and s_k is divided by its largest modulus before
+    the powers (an all-zero row, a lossless pair's s, is left as it is): the
+    larger branch's factor is then 1, and a record underflows only when the
+    smaller branch's relative weight does.
     """
     depol = depolarized.astype(np.intp)
     lost1, lost2 = fate_counts[:, _F_LOST1], fate_counts[:, _F_LOST2]
@@ -196,6 +201,8 @@ def _atom_probabilities(
     for r, s, c, lost, kept, v, u in zip(
         model.reflection, model.loss, (c1, c2), (lost1, lost2), (kept1, kept2), (v1, v2), model.rotation
     ):
+        peaks = [np.abs(x).max(axis=1, keepdims=True) for x in (r, s)]
+        r, s = (x / np.where(peak > 0.0, peak, 1.0) for x, peak in zip((r, s), peaks))
         a = c * s[depol] ** lost[:, None] * r[depol] ** kept[:, None]
         probs = 0.0
         for sign in (1.0, -1.0):  # Z^0, Z^1 = diag(1, sign)
@@ -343,7 +350,7 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
         c1[row_record // 2 % 2],
         c2[row_record % 2],
     )
-    # Near a thousand photons at the default config an atom's normalization underflows (NaN rows).
+    # Past about two thousand photons at the default config an atom's normalization underflows (NaN rows).
     lost = int((~np.isfinite(probs).all(axis=(1, 2))).sum())
     if lost:
         raise QndsimError(

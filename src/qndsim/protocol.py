@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -205,6 +205,14 @@ def _compose(first: tuple, then: tuple) -> tuple:
     return a1 * a2, b1 + a1 * b2
 
 
+@lru_cache(maxsize=None)
+def _binomial(dim: int) -> np.ndarray:
+    """C(n, m) at [m, n] for m, n < dim, as a read-only array cached per dimension."""
+    table = np.array([[math.comb(n, m) for n in range(dim)] for m in range(dim)])
+    table.flags.writeable = False
+    return table
+
+
 def _thin(numbers: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """W[..., m] = sum_n p_n C(n, m) a^m b^(n - m): per-photon weights (a, b) on p_n.
 
@@ -212,9 +220,8 @@ def _thin(numbers: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     weight b; a and b broadcast together, one thinning per entry.
     """
     n = np.arange(len(numbers))
-    binomial = np.array([[math.comb(j, m) for j in n.tolist()] for m in n.tolist()])
     lost = np.asarray(b)[..., None, None] ** np.maximum(n - n[:, None], 0)
-    return np.asarray(a)[..., None] ** n * ((lost * binomial) @ numbers)
+    return np.asarray(a)[..., None] ** n * ((lost * _binomial(len(numbers))) @ numbers)
 
 
 def _propagate(

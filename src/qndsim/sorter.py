@@ -134,6 +134,11 @@ class SorterConfig:
         return self.imperfections[node_index - 1]
 
 
+# The configuration `qndsim sorter` runs; the experiment config does not reach
+# it, so the CLI's manifest records this instead and `--config` is refused.
+SORTER_CONFIG = SorterConfig(k=2, input_kind="coherent", mean_photon=0.5, n_max=3)
+
+
 @dataclass(frozen=True)
 class SorterResult:
     herald: int  # estimated photon number in {0, ..., 2^k - 1}

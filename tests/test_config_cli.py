@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from conftest import random_configs
 from qndsim import montecarlo
-from qndsim.cli import FIGURES, SORTER_CONFIG, build_figure, compare, main, run
+from qndsim.cli import FIGURES, build_figure, compare, main, run
 from qndsim.config import (
     build_config,
     config_values,
@@ -19,7 +19,7 @@ from qndsim.config import (
 )
 from qndsim.errors import ConfigError, TruncationError
 from qndsim.estimators import quiet_detectors
-from qndsim.sorter import SorterConfig
+from qndsim.sorter import SORTER_CONFIG, SorterConfig
 
 
 class TestParseConfig:

@@ -12,7 +12,7 @@ from conftest import (
 )
 from qndsim.detectors import DetectorParams, hbt_split_and_count, no_click_weights
 from qndsim.errors import ConfigError
-from qndsim.fock import FockSpace, JointState, beam_splitter, coherent_state, fock_state, measure_diagonal
+from qndsim.fock import FockSpace, JointState, ModeState, beam_splitter, coherent_state, fock_state, measure_diagonal
 
 IDEAL = DetectorParams(efficiency=1.0, dark_rate=0.0, gate_window=2.0)
 SNSPD = DetectorParams(efficiency=0.9, dark_rate=40.0, gate_window=2.0)
@@ -156,6 +156,24 @@ class TestHbt:
         assert tables.shape == (len(pairs), 2, 2)
         for table, pair in zip(tables, pairs):
             assert np.array_equal(table, hbt_split_and_count(st, "m", [pair])[0])
+
+    def test_closed_form_at_default_cutoff(self):
+        # n photons split 50:50 put n_a on detector a with probability
+        # C(n, n_a) / 2^n, so P[n_a, n_b] = p_n C(n, n_a) / 2^n with n = n_a + n_b.
+        space = FockSpace(18)
+        p = np.random.default_rng(18).random(space.dim)
+        p /= p.sum()
+        numbers = np.zeros((space.dim, space.dim))
+        for n_a in range(space.dim):
+            for n_b in range(space.dim - n_a):
+                n = n_a + n_b
+                numbers[n_a, n_b] = p[n] * math.comb(n, n_a) / 2.0**n
+        pairs = [PAIRS[name] for name in sorted(PAIRS)]
+        tables = hbt_split_and_count(ModeState(space, np.diag(p)).to_joint("m"), "m", pairs)
+        for table, (params_a, params_b) in zip(tables, pairs):
+            no_a, no_b = no_click_weights(space.dim, params_a), no_click_weights(space.dim, params_b)
+            expected = np.stack([no_a, 1.0 - no_a]) @ numbers @ np.stack([no_b, 1.0 - no_b]).T
+            assert np.max(np.abs(table - expected)) < 1e-14
 
 
 @pytest.mark.parametrize("pair", sorted(PAIRS))

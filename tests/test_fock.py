@@ -557,6 +557,33 @@ class TestNumpyKernelsAgainstReferences:
             ref = _apply_channel_per_kraus(rho, dims, kraus, targets)
             assert np.max(np.abs(got - ref)) < 1e-13, (dims, targets, n_kraus)
 
+    def test_basis_state_mixtures_match_per_kraus_loop(self):
+        # A family acting on every subsystem, on a mixture of basis states,
+        # takes one outer product per basis state; the images of a random
+        # family overlap, and some weights are zero. One tiny off-diagonal
+        # entry sends the same input through the two gemms, which must
+        # contract it.
+        rng = np.random.default_rng(2025)
+        for case in range(30):
+            dims = tuple(int(d) for d in rng.integers(2, 5, size=rng.integers(1, 4)))
+            dim = int(np.prod(dims))
+            weights = rng.random(dim) * (rng.random(dim) < 0.6)
+            weights[rng.integers(dim)] += 1.0
+            rho = np.diag(weights / weights.sum()).astype(complex)
+            targets = [int(i) for i in rng.permutation(len(dims))]
+            n_kraus = int(rng.integers(2, 5))
+            g = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))
+            kraus = list(np.linalg.qr(g)[0].reshape(n_kraus, dim, dim))
+            got = _apply_channel(rho, dims, kraus, targets)
+            assert np.max(np.abs(got - _apply_channel_per_kraus(rho, dims, kraus, targets))) < 1e-13, case
+            tilted = rho.copy()
+            i, j = rng.choice(dim, size=2, replace=False)
+            tilted[i, j] = 1e-9
+            got_tilted = _apply_channel(tilted, dims, kraus, targets)
+            ref_tilted = _apply_channel_per_kraus(tilted, dims, kraus, targets)
+            assert np.max(np.abs(got_tilted - ref_tilted)) < 1e-13, case
+            assert np.max(np.abs(got_tilted - got)) > 1e-11, case
+
 
 class TestApplyChannelImage:
     """Kraus families with exactly-zero rows: the contraction on the support and the image."""
@@ -565,10 +592,16 @@ class TestApplyChannelImage:
 
     @staticmethod
     def states(rng, space):
-        """A random mode state alone, and beside a qubit (an untouched subsystem, so dr = 2)."""
+        """A random mode state alone and beside a qubit (an untouched subsystem,
+        so dr = 2), then number-diagonal inputs: a Fock state and a mixture with
+        a zero weight."""
         mode = random_mode_state(rng, space.n_max)
         yield mode.to_joint("a")
         yield JointState.from_parts([("q", random_density_matrix(rng, 2)), ("a", mode)])
+        yield fock_state(space.n_max, space).to_joint("a")
+        weights = rng.random(space.dim)
+        weights[space.dim // 2] = 0.0
+        yield ModeState(space, np.diag(weights / weights.sum())).to_joint("a")
 
     @staticmethod
     def assert_matches_reference_and_zero_outside(matrix, dims, kraus, targets, outside):

@@ -304,11 +304,12 @@ class TestKernelNearUnderflow:
         # there leaves atom 1 on its coupled branch alone: its outcome
         # probabilities are |U1[:, 0]|^2 however small the amplitude
         # s^lost r^kept. Every photon past node 1 is lost in the fiber, so
-        # atom 2 stays as if no photon came. Between about 500 and 525 photons
-        # of each kind, atom 1's squares are subnormal.
+        # atom 2 stays as if no photon came. The kernel divides s by its
+        # largest modulus, the coupled branch's, so only r_c^kept shrinks:
+        # from about 1,355 photons of each kind atom 1's squares are subnormal.
         model = _Model.from_config(base_config)
         assert not model.prob[:, 1, :, _F_LOST1].any()
-        photons = np.arange(300, 700)
+        photons = np.arange(1000, 1700)
         rows = photons.size
         fate_counts = np.zeros((rows, 8), dtype=np.int64)
         fate_counts[:, _F_LOST1] = photons
@@ -326,11 +327,20 @@ class TestKernelNearUnderflow:
         kept = probs[finite]
         np.testing.assert_allclose(kept, np.broadcast_to(expected, kept.shape), rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("mean_photon", [960.0, 1000.0])
+    def test_default_config_refuses_no_record(self, base_config, mean_photon):
+        # Without the kernel's per-row rescaling, the common factor s^lost
+        # r^kept underflowed here: 5 of 1,981 records at 960 and 89 of 1,973
+        # at 1000 were refused.
+        with mock.patch.object(montecarlo, "_atom_probabilities", wraps=_atom_probabilities) as kernel:
+            _simulate_arrays(base_config, mean_photon, 2_000)
+        assert np.isfinite(_atom_probabilities(*kernel.call_args.args)).all()
+
 
 class TestGroupingIsExact:
     """Records whose mixed-radix key would pass int64 are still grouped exactly."""
 
-    @pytest.mark.parametrize("mean_photon", [1000.0, 3000.0])
+    @pytest.mark.parametrize("mean_photon", [2500.0, 3000.0])
     def test_thousands_of_photons(self, base_config, mean_photon):
         # At these photon numbers the normalization underflows for some
         # grouped records, so the sampler refuses to draw rather than read
@@ -707,7 +717,7 @@ class TestSweepPool:
         serial = tuple(estimate(config, mu, config.trials) for mu in self.SWEEP)
         assert sweep_estimates(config).rows == serial
 
-    @pytest.mark.parametrize("sweep", [(0.45, 1000.0, 3000.0), (0.45, 3000.0, 1000.0)])
+    @pytest.mark.parametrize("sweep", [(0.45, 2500.0, 3000.0), (0.45, 3000.0, 2500.0)])
     def test_failing_point_raises_the_serial_error(self, base_config, use_cpus, sweep):
         # Both late points underflow (see test_thousands_of_photons) with
         # different messages; the first in sweep order is the one raised,
