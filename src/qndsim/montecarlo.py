@@ -16,6 +16,7 @@ depend on how they are scheduled.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections.abc import Callable, Iterable, Sequence
@@ -31,6 +32,13 @@ from .node import rotation_matrix
 from .protocol import ExperimentConfig, Outcome
 
 HALF_PI = math.pi / 2.0
+
+# Trials per block of the sampler's stages. A block's float64 draws and
+# gathers take 64 KiB each, below glibc's default 128 KiB mmap threshold.
+# Each numpy call on a block hands the GIL between sweep workers: a warm
+# threaded default sweep at 10^5 trials ran 25% slower at 2^12 and no faster
+# at 2^14 or 2^15, which add 0.1-0.4 and 0.4-1.4 MB to a point's peak.
+_BLOCK = 2**13
 
 # Per-photon fate categories through the cascade, in fate_counts column order:
 # lost at node 1, in the fiber, at node 2, before the detectors; reaching
@@ -269,7 +277,34 @@ def _categories(rng: np.random.Generator, cumulative: np.ndarray, index: np.ndar
     """
     u = rng.random(index.size)
     u *= cumulative[-1][index]
-    return sum((u >= col[index]).astype(np.uint8) for col in cumulative[:-1])
+    z = np.zeros(index.size, dtype=np.uint8)
+    for col in cumulative[:-1]:
+        z += u >= col[index]
+    return z
+
+
+def _widened(array: np.ndarray, top: int) -> np.ndarray:
+    """`array`, or a copy of it in the smallest wider unsigned type, so that it holds `top`."""
+    dtype = np.promote_types(array.dtype, np.min_scalar_type(top))
+    return array if dtype == array.dtype else array.astype(dtype)
+
+
+def _spans(blocks: list[slice], counts: np.ndarray) -> list[slice]:
+    """Consecutive blocks joined into runs whose `counts` add up to at most _BLOCK, or one block each.
+
+    A stage that touches only a few trials of each block runs once per run:
+    each numpy call on a block hands the GIL to the other sweep workers, so
+    fewer, larger calls cost less.
+    """
+    spans = []
+    for block, count in zip(blocks, counts):
+        if spans and total + count <= _BLOCK:
+            spans[-1] = slice(spans[-1].start, block.stop)
+            total += count
+        else:
+            spans.append(block)
+            total = count
+    return spans
 
 
 def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) -> dict:
@@ -289,15 +324,24 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     node 2. How the other photons split behind node 2 reaches no atom. So
     `_atom_probabilities` runs once per distinct record: about 20 at low mu
     and 700 at mu ~ 3 for 10^5 trials, plus the eight photon-free records.
-    The fates are drawn per branch for the trials with photons only. Every
-    trial-length array but the returned ones and the outcome table's row
-    index is a byte per trial or dies in the step that made it, so a point
-    at 10^5 trials needs a few MB.
+    The fates are drawn per branch for the trials with photons only.
+
+    The draws and the outcome sampling run over the trials in blocks of
+    `_BLOCK`; the fates and the grouping run over runs of blocks that hold at
+    most `_BLOCK` of the trials they touch. So every wide temporary lives for
+    one block or run, and only byte masks and indices span a run. Beside the
+    returned arrays (14 bytes per trial with uint8 counts), a point keeps a
+    byte per trial for each trial's record, for its branch until the fates
+    are drawn and for its row of the outcome table (two bytes once a run
+    holds more than 248 distinct records), and a few words per distinct
+    record of each run. Its traced peak grows by 15.2 bytes per trial at
+    mu 0 and 16.8 at mu 3.11.
 
     The samples are those of one draw and one computation per trial, in trial
     order: every stream draws the same numbers in the same order, because
-    numpy's multinomial draws nothing for n = 0 and each branch's trials are
-    taken in trial order; and any member of a record group gives the same
+    numpy's draws in consecutive blocks are those of one draw, numpy's
+    multinomial draws nothing for n = 0, and each branch's trials are taken
+    in trial order; and any member of a record group gives the same
     probabilities, because each row's probabilities are computed from that
     row's record alone.
     """
@@ -308,41 +352,77 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     model = _Model.from_config(config)
     seed = config.seed
     stream = lambda name: _sweep_stream(seed, mean_photon, name)
-
-    prep1 = stream("prep1").random(trials) < model.prep[0]
-    prep2 = stream("prep2").random(trials) < model.prep[1]
-    if config.input_kind == "fock":
-        n = np.full(trials, config.fock_n, dtype=np.min_scalar_type(config.fock_n))
-    else:
-        n = stream("photon_number").poisson(mean_photon, size=trials)
-        n = n.astype(np.min_scalar_type(n.max()))
-    depolarized = stream("depolarization").random(trials) < model.scramble
-    # What a trial draws before its fates: 4 depolarized + 2 prep1 + prep2.
-    record = depolarized * np.uint8(4) + prep1 * np.uint8(2) + prep2
+    blocks = [slice(start, min(start + _BLOCK, trials)) for start in range(0, trials, _BLOCK)]
 
     # Post-first-pulse amplitudes indexed by prep outcome (1 = prepared).
     c1 = np.stack([model.c_bad[0], model.c_good[0]])
     c2 = np.stack([model.c_bad[1], model.c_good[1]])
     w = np.abs(c1[:, None, :, None] * c2[None, :, None, :]) ** 2  # (prep1, prep2, x, y)
     w_cum = np.tile(np.cumsum(w.reshape(4, 4), axis=-1).T, 2)  # (x * 2 + y, record)
-    branch = 2 * _categories(stream("branch_label"), w_cum, record) + depolarized  # 2 (x * 2 + y) + d
 
+    if config.input_kind == "fock":
+        n = np.full(trials, config.fock_n, dtype=np.min_scalar_type(config.fock_n))
+        photon_number = None
+    else:
+        n = np.empty(trials, dtype=np.uint8)  # widened when a block draws more photons
+        photon_number = stream("photon_number")
+    depolarized = np.empty(trials, dtype=bool)
+    # What a trial draws before its fates: 4 depolarized + 2 prep1 + prep2.
+    record = np.empty(trials, dtype=np.uint8)
+    # 2 (x * 2 + y) + depolarized, or 8 for a trial without photons, which draws no fates.
+    branch = np.empty(trials, dtype=np.uint8)
+    counts = np.empty((len(blocks), 9), dtype=np.intp)  # trials per block and branch
+    prep1_rng, prep2_rng, depolarization, branch_label = map(
+        stream, ("prep1", "prep2", "depolarization", "branch_label")
+    )
+    for i, block in enumerate(blocks):
+        size = block.stop - block.start
+        prep1 = prep1_rng.random(size) < model.prep[0]
+        prep2 = prep2_rng.random(size) < model.prep[1]
+        if photon_number is not None:
+            drawn = photon_number.poisson(mean_photon, size=size)
+            n = _widened(n, drawn.max())
+            n[block] = drawn
+        depol = np.less(depolarization.random(size), model.scramble, out=depolarized[block])
+        record[block] = depol * np.uint8(4) + prep1 * np.uint8(2) + prep2
+        label = _categories(branch_label, w_cum, record[block])
+        branch[block] = np.where(n[block] > 0, 2 * label + depol, 8)
+        counts[i] = np.bincount(branch[block], minlength=9)
+
+    # Each branch's trials, taken in trial order in runs of blocks that hold
+    # at most _BLOCK of them.
     fate_counts = np.zeros((trials, 8), dtype=n.dtype)
     fate_rng = stream("fates")
-    lit = n > 0
-    for d in (0, 1):
-        for xx in (0, 1):
-            for yy in (0, 1):
-                rows = np.flatnonzero(lit & (branch == 2 * (2 * xx + yy) + d))
-                if rows.size:
-                    fate_counts[rows] = fate_rng.multinomial(n[rows], model.prob[d, xx, yy])
+    for d, xx, yy in itertools.product((0, 1), repeat=3):
+        code = 2 * (2 * xx + yy) + d
+        for span in _spans(blocks, counts[:, code]):
+            rows = span.start + np.flatnonzero(branch[span] == code)
+            if rows.size:
+                fate_counts[rows] = fate_rng.multinomial(n[rows], model.prob[d, xx, yy])
+    del branch
 
     # A photon-free trial's fate counts are all zero, so its record is fixed
     # by (depolarized, prep1, prep2) alone: table rows 0-7 hold those eight
-    # records, and only the trials with photons are grouped, into rows 8, 9, ...
-    member, group = _distinct_rows(column[lit] for column in (record, n, *fate_counts.T[:_F_LOSTD]))
-    first = np.flatnonzero(lit)[member]
+    # records. The trials with photons are grouped in runs of blocks that
+    # hold at most _BLOCK of them, `row` holding 8 + the group in the run;
+    # then the runs' groups are grouped once more, into table rows 8, 9, ...
+    columns = (record, n, *fate_counts.T[:_F_LOSTD])
+    row = np.empty(trials, dtype=np.uint8)
+    spans = _spans(blocks, counts[:, :8].sum(axis=1))
+    members = []
+    for span in spans:
+        lit = np.flatnonzero(n[span] > 0)
+        member, group = _distinct_rows(column[span][lit] for column in columns)
+        row = _widened(row, 7 + member.size)
+        row[span] = record[span]
+        row[span.start + lit] = 8 + group
+        members.append(span.start + lit[member])
+    ends = np.cumsum([m.size for m in members])
+    members = np.concatenate(members)
+    member, group = _distinct_rows(column[members] for column in columns)
+    first = members[member]
     row_record = np.concatenate([np.arange(8), record[first]])
+    del columns, record, members
     probs = _atom_probabilities(
         model,
         np.concatenate([np.zeros((8, 8), dtype=np.int64), fate_counts[first]]),
@@ -357,16 +437,27 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
             f"Monte Carlo outcome probabilities underflow at mean photon number {mean_photon}: "
             f"{lost} of {len(member)} distinct trial records with photons have no finite probabilities"
         )
-    row = record.astype(np.intp)
-    row[lit] = 8 + group
+    # Each run's values of `row` become table rows.
+    row = _widened(row, 7 + len(first))
+    for span, part in zip(spans, np.split(group, ends[:-1])):
+        row[span] = np.concatenate([np.arange(8), 8 + part]).astype(row.dtype)[row[span]]
     del group
     # z1 * 2 + z2; the cumulative outcome weights are (z1 * 2 + z2, table row).
-    z = _categories(stream("atom_outcome"), probs.reshape(-1, 4).cumsum(axis=1).T, row)
-    del row
-    s1_up = (z < 2) ^ (stream("readout1").random(trials) < 1.0 - model.readout[0])
-    s2_up = (z % 2 == 0) ^ (stream("readout2").random(trials) < 1.0 - model.readout[1])
-    click_a = (fate_counts[:, _F_AHIT] > 0) | (stream("dark_a").random(trials) < model.p_dark[0])
-    click_b = (fate_counts[:, _F_BHIT] > 0) | (stream("dark_b").random(trials) < model.p_dark[1])
+    cumulative = probs.reshape(-1, 4).cumsum(axis=1).T
+
+    s1_up, s2_up, click_a, click_b = (np.empty(trials, dtype=bool) for _ in range(4))
+    atom_outcome, readout1, readout2, dark_a, dark_b = map(
+        stream, ("atom_outcome", "readout1", "readout2", "dark_a", "dark_b")
+    )
+    flip = (1.0 - model.readout[0], 1.0 - model.readout[1])  # readout error rates
+    p_dark = model.p_dark
+    for block in blocks:
+        size = block.stop - block.start
+        z = _categories(atom_outcome, cumulative, row[block])
+        np.logical_xor(z < 2, readout1.random(size) < flip[0], out=s1_up[block])
+        np.logical_xor(z % 2 == 0, readout2.random(size) < flip[1], out=s2_up[block])
+        np.logical_or(fate_counts[block, _F_AHIT] > 0, dark_a.random(size) < p_dark[0], out=click_a[block])
+        np.logical_or(fate_counts[block, _F_BHIT] > 0, dark_b.random(size) < p_dark[1], out=click_b[block])
     return {
         "n": n,
         "fate_counts": fate_counts,
@@ -380,8 +471,11 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
 
 def _tabulate(trial: Outcome, mean_photon: float, cells: Sequence[str] = CELLS) -> EstimateRow:
     """The requested table cells of one trial set, given as arrays of outcomes."""
-    index = 8 * trial.s1.astype(np.intp) + 4 * trial.s2 + 2 * trial.da + trial.db  # CELL_MASKS' order
-    counts = np.bincount(index, minlength=16)
+    counts = np.zeros(16, dtype=np.intp)
+    for start in range(0, trial.s1.size, _BLOCK):  # the intp index lives for one block
+        s1, s2, da, db = (x[start : start + _BLOCK] for x in trial)
+        # 8 s1 + 4 s2 + 2 da + db: CELL_MASKS' order
+        counts += np.bincount(8 * s1.astype(np.intp) + 4 * s2 + 2 * da + db, minlength=16)
     values = cells_from_table(counts, cells)  # None where no trial was accepted
     accepted = {cell: int(counts[CELL_MASKS[cell][1]].sum()) for cell in cells}
     stderrs = {c: None if p is None else math.sqrt(p * (1.0 - p) / accepted[c]) for c, p in values.items()}
@@ -421,7 +515,8 @@ def estimate_with_nodark(
 def g2_estimate(config: ExperimentConfig, mean_photon: float, trials: int) -> tuple[G2Row, ...]:
     """Click-coincidence estimate of g2(0) and the cross-trial g2(tau != 0)."""
     arrays = _simulate_arrays(config, mean_photon, trials)
-    s1, s2 = arrays["s1"].astype(int), arrays["s2"].astype(int)
+    # Byte indices: numpy casts them to intp a buffer at a time, not a copy of all trials.
+    s1, s2 = arrays["s1"].view(np.uint8), arrays["s2"].view(np.uint8)
     rows = []
     for name, keep in G2_CONDITIONS.items():
         mask = keep[s1, s2]

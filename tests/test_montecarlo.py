@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_configs
@@ -27,6 +28,7 @@ from qndsim.estimators import (
     sweep_with_nodark,
 )
 from qndsim.montecarlo import (
+    _BLOCK as BLOCK,
     _F_AHIT,
     _F_BHIT,
     _F_FIBER,
@@ -223,6 +225,21 @@ def assert_same_samples(config, mean_photon, trials):
         np.testing.assert_array_equal(arrays[key], expected[key], err_msg=key)
 
 
+def imperfect_config(config, input_kind, fock_n):
+    """`config` with imperfect preparation and scrambling, so that prep1, prep2 and depolarized vary."""
+    values = config_values(config)
+    values.update(
+        {
+            "input.kind": input_kind,
+            "input.fock_n": fock_n,
+            "node1.prep_fidelity": 0.9,
+            "node2.prep_fidelity": 0.8,
+            "channel.depolarization": 0.3,
+        }
+    )
+    return build_config(values)
+
+
 class TestSamplerMatchesReference:
     """The sampler, grouped per distinct record, against the per-trial reference."""
 
@@ -240,33 +257,21 @@ class TestSamplerMatchesReference:
 
     @pytest.mark.parametrize("input_kind", ["coherent", "fock"])
     def test_imperfect_preparation_and_scrambling(self, base_config, input_kind):
-        values = config_values(base_config)
-        values.update(
-            {
-                "input.kind": input_kind,
-                "input.fock_n": 3,
-                "node1.prep_fidelity": 0.9,
-                "node2.prep_fidelity": 0.8,
-                "channel.depolarization": 0.3,
-            }
-        )
-        assert_same_samples(build_config(values), 0.9, 20_000)
+        assert_same_samples(imperfect_config(base_config, input_kind, 3), 0.9, 20_000)
 
     @pytest.mark.parametrize("input_kind", ["coherent", "fock"])
     def test_photon_free_input(self, base_config, input_kind):
         # No trial has photons, so no fate is drawn, every branch group is
         # empty and every record is one of the eight photon-free ones.
-        values = config_values(base_config)
-        values.update(
-            {
-                "input.kind": input_kind,
-                "input.fock_n": 0,
-                "node1.prep_fidelity": 0.9,
-                "node2.prep_fidelity": 0.8,
-                "channel.depolarization": 0.3,
-            }
-        )
-        assert_same_samples(build_config(values), 0.0, 20_000)
+        assert_same_samples(imperfect_config(base_config, input_kind, 0), 0.0, 20_000)
+
+    @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("imperfect, mean_photon", [(False, 0.04), (False, 3.11), (True, 0.9)])
+    def test_block_boundaries(self, base_config, imperfect, mean_photon, trials):
+        # The stages run block by block, the last block possibly short; each
+        # stream must still draw as one draw over all the trials.
+        config = imperfect_config(base_config, "fock", 3) if imperfect else base_config
+        assert_same_samples(config, mean_photon, trials)
 
 
 class TestKernelReadsOnlyWhatTheAtomsSee:
@@ -404,6 +409,9 @@ class TestTabulate:
         trials=st.integers(1, 5_000),
         rates=st.lists(st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]), min_size=4, max_size=4),
     )
+    # _tabulate counts a block of trials at a time.
+    @example(seed=1, trials=BLOCK, rates=[0.5, 0.01, 0.99, 0.5])
+    @example(seed=2, trials=3 * BLOCK + 7, rates=[0.5, 0.5, 0.5, 0.5])
     def test_random_outcomes(self, seed, trials, rates):
         rng = np.random.default_rng(seed)
         trial = Outcome(*(rng.random((4, trials)) < np.array(rates)[:, None]))
@@ -480,6 +488,25 @@ class TestSimulateArrays:
         np.testing.assert_array_equal(fates.sum(axis=1), n)
         expected = reference_simulate_arrays(base_config, mean_photon, 2_000)
         np.testing.assert_array_equal(fates, expected["fate_counts"])
+
+    @pytest.mark.parametrize("mean_photon", [0.0, 0.45, 3.11])
+    @pytest.mark.parametrize("point", [_simulate_arrays, estimate_with_nodark], ids=lambda f: f.__name__)
+    def test_memory_grows_by_the_outputs_alone(self, base_config, point, mean_photon):
+        # The sampled arrays take 14 bytes per trial; everything else a point
+        # holds per trial, tabulation included, is a byte or two, or lives
+        # for one block of trials.
+        point(base_config, mean_photon, 1_000)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for trials in (100_000, 400_000):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                point(base_config, mean_photon, trials)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 300_000 <= 18.0
 
     def test_matches_exact_engine_statistically(self, base_config):
         mu, trials = 0.084, 20_000
