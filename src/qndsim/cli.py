@@ -6,8 +6,8 @@ Usage:
     (sorter runs a fixed configuration and takes no --config)
     qndsim compare MANIFEST_A MANIFEST_B
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error,
-4 comparison mismatch, 1 unexpected failure. Errors print a JSON object
+Exit codes: 0 success, 2 configuration error or unwritable --out, 3 runtime
+error, 4 comparison mismatch, 1 unexpected failure. Errors print a JSON object
 {"category": ..., "message": ...} on stderr. The runtime needs only numpy.
 """
 
@@ -134,7 +134,7 @@ def build_figure(figure: str, config: ExperimentConfig) -> tuple[list[str], list
                 "herald": str(res.herald),
                 "probability": res.probability,
                 "fidelity": res.fidelity,
-                "mean_photon_out": res.state.mean_photon(),
+                "mean_photon_out": sum(n * p for n, p in enumerate(res.numbers)),
             }
             for res in run_sorter(SORTER_CONFIG)
         ]
@@ -169,17 +169,15 @@ def run(
     overrides = {"mode": mode, "trials": trials, "seed": seed}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{figure}.csv")
     manifest_path = os.path.join(out_dir, "manifest.json")
     created: list[str] = []
     try:
+        os.makedirs(out_dir, exist_ok=True)
         header, rows = build_figure(figure, config)
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-        created.append(csv_path)
+            created.append(csv_path)
+            fh.write("".join(",".join(row) + "\n" for row in [header, *rows]))
         if figure == "sorter":
             from .sorter import SORTER_CONFIG
 
@@ -198,15 +196,17 @@ def run(
             "files": [{"name": os.path.basename(csv_path), "sha256": _sha256(csv_path)}],
         }
         with open(manifest_path, "w", encoding="utf-8") as fh:
+            created.append(manifest_path)
             fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        created.append(manifest_path)
         return manifest
-    except BaseException:
+    except BaseException as exc:
         for path in created:
             try:
                 os.unlink(path)
             except OSError:
                 pass
+        if isinstance(exc, OSError):  # an output directory or file that cannot be made
+            raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from None
         raise
 
 

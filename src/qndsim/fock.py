@@ -36,9 +36,8 @@ MIN_PROBABILITY = 1e-12
 
 # Positivity checks cost O(dim^3); skip them above this dimension (the
 # two-mode state inside the detector split). The split's single-mode input
-# and the sorter's diagonal output states stay well below it; the
-# number-diagonal blocks of the protocol engine and the sorter are checked by
-# _check_blocks instead.
+# stays well below it; the number-diagonal blocks of the protocol engine and
+# the sorter are checked by _check_blocks instead.
 _POSITIVITY_DIM_LIMIT = 128
 
 
@@ -192,42 +191,46 @@ class ModeState:
     def number_distribution(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()
 
-    def mean_photon(self) -> float:
-        n = np.arange(self.space.dim)
-        return float(np.real(np.sum(n * np.diag(self.matrix))))
-
     def to_joint(self, label: str = "m0") -> "JointState":
         return JointState.from_parts([(label, self)])
 
 
-def coherent_state(
-    mean_photon: float, space: FockSpace, check_truncation: bool = True
-) -> ModeState:
-    """Truncated coherent state with amplitude sqrt(mean_photon) (real phase).
+def pulse_amplitudes(
+    kind: str, space: FockSpace, mean_photon: float, fock_n: int, check_truncation: bool = True
+) -> np.ndarray:
+    """Real number-basis amplitudes amp of an input pulse, whose photon numbers are amp * amp.
 
-    check_truncation=False permits deliberately hard-truncated inputs (the
-    renormalized few-photon pulses fed to the number sorter).
+    The one definition of an input: kind 'fock' is |fock_n>, kind 'coherent' the
+    coherent state of amplitude sqrt(mean_photon) (real phase), truncated to the
+    space and renormalized. check_truncation=False permits deliberately
+    hard-truncated pulses (the renormalized few-photon pulses fed to the sorter).
     """
-    if mean_photon < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {mean_photon}")
-    if check_truncation:
-        space.validate_mean_photon(mean_photon)
-    if mean_photon == 0.0:
-        return fock_state(0, space)
-    alpha = math.sqrt(mean_photon)
-    n = np.arange(space.dim)
-    log_amp = n * math.log(alpha) - 0.5 * np.array([math.lgamma(k + 1) for k in n])
-    amp = np.exp(log_amp)
-    amp /= np.linalg.norm(amp)
-    return ModeState(space, np.outer(amp, amp.conj()))
+    if kind == "coherent":
+        if mean_photon < 0:
+            raise ValueError(f"mean photon number must be >= 0, got {mean_photon}")
+        if check_truncation:
+            space.validate_mean_photon(mean_photon)
+        if mean_photon > 0.0:
+            n = np.arange(space.dim)
+            log_amp = n * math.log(math.sqrt(mean_photon)) - 0.5 * np.array([math.lgamma(k + 1) for k in n])
+            amp = np.exp(log_amp)
+            return amp / np.linalg.norm(amp)
+        fock_n = 0  # the vacuum
+    if not 0 <= fock_n <= space.n_max:
+        raise TruncationError(f"Fock index {fock_n} outside [0, {space.n_max}]")
+    amp = np.zeros(space.dim)
+    amp[fock_n] = 1.0
+    return amp
+
+
+def coherent_state(mean_photon: float, space: FockSpace, check_truncation: bool = True) -> ModeState:
+    amp = pulse_amplitudes("coherent", space, mean_photon, 0, check_truncation)
+    return ModeState(space, np.outer(amp, amp))
 
 
 def fock_state(n: int, space: FockSpace) -> ModeState:
-    if not 0 <= n <= space.n_max:
-        raise TruncationError(f"Fock index {n} outside [0, {space.n_max}]")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    mat[n, n] = 1.0
-    return ModeState(space, mat)
+    amp = pulse_amplitudes("fock", space, 0.0, n)
+    return ModeState(space, np.outer(amp, amp))
 
 
 @dataclass(frozen=True)

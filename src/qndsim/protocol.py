@@ -36,11 +36,11 @@ from .fock import (
     MIN_PROBABILITY,
     N_MAX_CAP,
     FockSpace,
+    JointState,
     ModeState,
     _check_blocks,
     _loss_amplitude,
-    coherent_state,
-    fock_state,
+    pulse_amplitudes,
 )
 from .node import (
     CqedParams,
@@ -107,8 +107,8 @@ class ExperimentConfig:
             raise ConfigError(f"fock_n must be >= 0, got {self.fock_n}")
         if self.mode not in ("exact", "monte_carlo"):
             raise ConfigError(f"mode must be 'exact' or 'monte_carlo', got {self.mode!r}")
-        if self.mode == "monte_carlo" and self.trials < 1:
-            raise ConfigError(f"trials must be >= 1 in monte_carlo mode, got {self.trials}")
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed <= SEED_MAX:
             raise ConfigError(f"seed must be in [0, {SEED_MAX}], got {self.seed}")
         self.fock_space()  # fail fast on truncation-infeasible sweeps
@@ -127,10 +127,10 @@ class ExperimentConfig:
             return FockSpace(max(1, self.fock_n))
         return FockSpace.for_mean_photon(max(self.mean_photon_sweep))
 
-    def input_state(self, mean_photon: float, space: FockSpace) -> ModeState:
-        if self.input_kind == "fock":
-            return fock_state(self.fock_n, space)
-        return coherent_state(mean_photon, space)
+    def input_numbers(self, mean_photon: float) -> np.ndarray:
+        """Photon-number distribution of the input pulse on fock_space()."""
+        amp = pulse_amplitudes(self.input_kind, self.fock_space(), mean_photon, self.fock_n)
+        return amp * amp
 
 
 class Outcome(NamedTuple):
@@ -261,7 +261,7 @@ def _propagate(
         scrambled = reflection(2, n2.empty_pair())
         paths = [(1.0 - q, _compose(path, coupled)), (q, _compose(path, scrambled))]
 
-    numbers = config.input_state(mean_photon, config.fock_space()).number_distribution()
+    numbers = config.input_numbers(mean_photon)
     weights = sum(w * _thin(numbers, *_compose(p, (detection, 1.0 - detection))) for w, p in paths)
     pulses = [rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation()) for imp in imps]
     pulse = reduce(np.kron, pulses)
@@ -335,7 +335,7 @@ def _click_table(
     for bits in np.ndindex(numbers.shape[:-1]):
         p = numbers[bits].sum()
         if p > 0.0:
-            photon = ModeState(space, np.diag(numbers[bits] / p)).to_joint("ph")
+            photon = JointState(("ph",), ("m",), (space,), np.diag(numbers[bits] / p))
             table[(slice(None),) + bits] = p * hbt_split_and_count(photon, "ph", detectors)
     return table
 

@@ -14,14 +14,14 @@ the fiber's loss and the next node's gate are one thinning of those numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .channel import ChannelParams
 from .errors import ConfigError
-from .fock import FockSpace, ModeState, _check_blocks, coherent_state, fock_state
+from .fock import FockSpace, _check_blocks, pulse_amplitudes
 from .node import (
     CqedParams,
     NodeImperfections,
@@ -121,12 +121,11 @@ class SorterConfig:
             return FockSpace(max(1, self.fock_n))
         return FockSpace.for_mean_photon(self.mean_photon)
 
-    def input_state(self) -> ModeState:
-        space = self.space()
-        if self.input_kind == "fock":
-            return fock_state(self.fock_n, space)
-        # Explicit n_max means a deliberately truncated, renormalized pulse.
-        return coherent_state(self.mean_photon, space, check_truncation=self.n_max is None)
+    def input_numbers(self) -> np.ndarray:
+        """Photon-number distribution of the input pulse on space()."""
+        check = self.n_max is None  # explicit n_max: a deliberately truncated, renormalized pulse
+        amp = pulse_amplitudes(self.input_kind, self.space(), self.mean_photon, self.fock_n, check)
+        return amp * amp
 
     def node_imperfections(self, node_index: int) -> NodeImperfections:
         if self.imperfections is None:
@@ -143,20 +142,19 @@ SORTER_CONFIG = SorterConfig(k=2, input_kind="coherent", mean_photon=0.5, n_max=
 class SorterResult:
     herald: int  # estimated photon number in {0, ..., 2^k - 1}
     probability: float
-    state: ModeState  # diagonal in photon number; no output reads coherences
+    numbers: np.ndarray  # output photon-number distribution; no output reads coherences
     fidelity: float  # overlap with the nominal Fock state |herald>
 
 
 def run_sorter(config: SorterConfig) -> list[SorterResult]:
-    """Heralding probabilities and conditional output states for every label.
+    """Heralding probabilities and conditional output photon numbers for every label.
 
     Each node runs the cascade engine's pulses, dephasing and atom readout on
     its (dim, 2, 2) stack; its gate, and the fiber before it, thin each photon
     with the cascade's composed per-photon weights.
     """
-    space = config.space()
     transmission = config.channel.transmission if config.channel is not None else 1.0
-    branches = [((), 1.0, config.input_state().number_distribution())]
+    branches = [((), 1.0, config.input_numbers())]
     for j in range(1, config.k + 1):
         imp = config.node_imperfections(j)
         pulse = rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation())
@@ -182,15 +180,13 @@ def run_sorter(config: SorterConfig) -> list[SorterResult]:
     for herald, kept in sorted(heralds.items()):
         prob = sum(w for w, _ in kept)
         numbers = sum(w * n for w, n in kept) / prob
-        fidelity = float(numbers[herald]) if herald <= space.n_max else 0.0
-        out.append(SorterResult(herald, prob, ModeState(space, np.diag(numbers)), fidelity))
+        fidelity = float(numbers[herald]) if herald < len(numbers) else 0.0
+        out.append(SorterResult(herald, prob, numbers, fidelity))
     return out
 
 
 def herald_confusion_matrix(config: SorterConfig, n_range: Sequence[int]) -> np.ndarray:
     """P(herald = m | input Fock n) for n in n_range; rows sum to 1."""
-    from dataclasses import replace
-
     labels = 2**config.k
     space_max = max(max(n_range), 1)
     matrix = np.zeros((len(n_range), labels))

@@ -348,6 +348,37 @@ class TestCliMain:
         assert rc == 0
         assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == seed
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_exits_2_in_exact_mode(self, tmp_path, capsys, trials):
+        # The manifest would record run.trials, which the parser refuses below 1.
+        rc = main(["fig2", "--trials", trials, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["category"] == "config"
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_exits_2_and_leaves_it(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory\n")
+        rc = main(["fig2", "--out", str(taken)])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["category"] == "config"
+        assert error["message"].startswith(f"cannot write {taken}")
+        assert taken.read_bytes() == b"not a directory\n"
+
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "one_point.cfg"
+        cfg.write_text("sweep.mu = 0.084\n")
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        rc = main(["fig2", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["category"] == "config"
+        assert error["message"].startswith(f"cannot write {out / 'manifest.json'}")
+        # The CSV written before the manifest failed is removed again.
+        assert not (out / "fig2.csv").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("channel.transmission = 2.0\n")

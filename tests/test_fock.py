@@ -28,6 +28,7 @@ from qndsim.fock import (
     loss_channel,
     moments,
     partial_trace,
+    pulse_amplitudes,
     _annihilation,
     _apply_channel,
     _POSITIVITY_DIM_LIMIT,
@@ -81,11 +82,43 @@ class TestCoherentState:
     def test_mean_photon(self):
         mu = 0.45
         st = coherent_state(mu, FockSpace.for_mean_photon(mu))
-        assert st.mean_photon() == pytest.approx(mu, abs=1e-9)
+        assert np.arange(st.space.dim) @ st.number_distribution() == pytest.approx(mu, abs=1e-9)
 
     def test_truncation_error_names_cutoff(self):
         with pytest.raises(TruncationError, match="requires n_max"):
             coherent_state(2.0, FockSpace(4))
+
+
+class TestPulseAmplitudes:
+    """The one definition of an input pulse, which the runtime reads as amp * amp."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.084, 0.45, 3.11])
+    def test_coherent_numbers_are_the_dense_diagonal(self, mu):
+        space = FockSpace.for_mean_photon(mu)
+        amp = pulse_amplitudes("coherent", space, mu, 0)
+        assert np.array_equal(amp * amp, coherent_state(mu, space).number_distribution())
+        assert (amp * amp).sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_fock_is_one_hot(self):
+        space = FockSpace(4)
+        for n in range(space.dim):
+            amp = pulse_amplitudes("fock", space, 0.0, n)
+            assert np.array_equal(amp, np.eye(space.dim)[n])
+            assert np.array_equal(amp * amp, fock_state(n, space).number_distribution())
+
+    def test_hard_truncation_renormalizes(self):
+        space = FockSpace(2)
+        with pytest.raises(TruncationError):
+            pulse_amplitudes("coherent", space, 0.5, 0)
+        numbers = pulse_amplitudes("coherent", space, 0.5, 0, check_truncation=False) ** 2
+        poisson = np.array([0.5**n / math.factorial(n) for n in range(3)])
+        np.testing.assert_allclose(numbers, poisson / poisson.sum(), rtol=1e-15, atol=0)
+
+    def test_invalid_inputs_rejected(self):
+        with pytest.raises(TruncationError, match="outside"):
+            pulse_amplitudes("fock", FockSpace(2), 0.0, 3)
+        with pytest.raises(ValueError, match=">= 0"):
+            pulse_amplitudes("coherent", FockSpace(2), -0.1, 0)
 
 
 class TestParity:

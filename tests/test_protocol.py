@@ -11,7 +11,7 @@ from qndsim.config import ideal_config
 from qndsim.detectors import hbt_split_and_count
 from qndsim.errors import ConfigError, ZeroProbabilityError
 from qndsim.estimators import G2_CONDITIONS, cells_from_distribution, g2_from_numbers, g2_table, snr
-from qndsim.fock import JointState, loss_channel
+from qndsim.fock import JointState, coherent_state, fock_state, loss_channel
 from qndsim.node import (
     CqedParams,
     ReflectionPair,
@@ -56,12 +56,18 @@ def _dense_downstream_reflection(state, node, channel):
     return coupled._replace_matrix((1.0 - q) * coupled.matrix + q * decoupled.matrix)
 
 
+def dense_input(config, mu):
+    """The config's input pulse as a dense ModeState on its Fock space."""
+    if config.input_kind == "fock":
+        return fock_state(config.fock_n, config.fock_space())
+    return coherent_state(mu, config.fock_space())
+
+
 def dense_propagate(config, mu, nodes=(1, 2), fiber=fiber_channel):
-    space = config.fock_space()
     atoms = [(f"a{k}", config.node(k)) for k in nodes]
     state = JointState.from_parts(
         [(qubit, prepare(node.imperfections.prep_fidelity)) for qubit, node in atoms]
-        + [("ph", config.input_state(mu, space))]
+        + [("ph", dense_input(config, mu))]
     )
     state = _dense_pulses(state, atoms)
     if 1 in nodes:
@@ -465,6 +471,12 @@ class TestConfigValidation:
     def test_monte_carlo_needs_trials(self, base_config):
         with pytest.raises(ConfigError):
             replace(base_config, mode="monte_carlo", trials=0)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_exact_mode_needs_trials_too(self, base_config, trials):
+        # Every config has a file form, and the parser refuses run.trials below 1.
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            replace(base_config, mode="exact", trials=trials)
 
     def test_truncation_infeasible_sweep(self, base_config):
         with pytest.raises(ConfigError):
