@@ -22,6 +22,14 @@ import os
 import sys
 from dataclasses import asdict, replace
 
+# One OpenBLAS thread unless the caller chose otherwise; it must be set before
+# numpy loads. No runtime product reaches OpenBLAS's threading size (see
+# fock._apply_channel), and the Monte Carlo parallelism is map_sweep's own
+# threads, so a second BLAS thread does no work, yet each idle worker spins
+# for about 0.1 s of CPU after load. Set here, not in the package, so that a
+# library import such as `import qndsim.protocol` leaves the caller's BLAS alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .config import default_config, parse_config, serialize_config
 from .errors import ConfigError, QndsimError

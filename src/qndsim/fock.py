@@ -414,25 +414,19 @@ def _beam_splitter_unitary(dim_a: int, dim_b: int, transmissivity: float, phase:
     return u
 
 
-def _loss_amplitude(amplitude: complex) -> float:
-    """s = sqrt(1 - |r|^2) of a reflection; at |r| = 1 one ulp of |r|^2 moves s by 1e-8."""
-    return math.sqrt(max(0.0, 1.0 - abs(complex(amplitude)) ** 2))
-
-
 @lru_cache(maxsize=None)
-def _reflection_kraus(dim: int, amplitude: complex) -> np.ndarray:
-    """Loss at |r|^2 composed with a per-photon phase arg(r), as one stacked Kraus family.
+def _reflection_kraus(dim: int, amplitude: complex, loss: float) -> np.ndarray:
+    """Loss at 1 - |r|^2 = loss^2 composed with a per-photon phase arg(r), as one stacked Kraus family.
 
     Operator k (the first axis) is the k-photons-lost branch. Zero operators
     are kept so that two families (e.g. the two atomic branches of a
     reflection) stay aligned on the shared loss ancilla index. The cached
     array is read-only.
     """
-    s = _loss_amplitude(amplitude)
     kraus = np.zeros((dim, dim, dim), dtype=complex)
     for k in range(dim):
         for n in range(k, dim):
-            kraus[k, n - k, n] = math.sqrt(math.comb(n, k)) * amplitude ** (n - k) * s**k
+            kraus[k, n - k, n] = math.sqrt(math.comb(n, k)) * amplitude ** (n - k) * loss**k
     return _freeze(kraus)
 
 
@@ -464,7 +458,8 @@ def loss_channel(state: JointState, mode: str, transmissivity: float) -> JointSt
     if transmissivity == 1.0:
         return state
     # A reflection of real amplitude sqrt(T); operators that vanish are dropped.
-    kraus = _reflection_kraus(state.dims[pos], complex(math.sqrt(transmissivity)))
+    amplitude, loss = complex(math.sqrt(transmissivity)), math.sqrt(1.0 - transmissivity)
+    kraus = _reflection_kraus(state.dims[pos], amplitude, loss)
     return apply_channel(state, kraus[kraus.any(axis=(1, 2))], [mode])
 
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ConfigError, QndsimError
 from .estimators import CELL_MASKS, CELLS, G2_CONDITIONS, EstimateRow, G2Row, cells_from_table
-from .fock import _loss_amplitude
 from .node import rotation_matrix
 from .protocol import ExperimentConfig, Outcome
 
@@ -71,6 +70,23 @@ def _sweep_stream(seed: int, mean_photon: float, name: str) -> np.random.Generat
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
+def _coins(
+    stream: Callable[[str], np.random.Generator], name: str, threshold: float
+) -> Callable[[int], np.ndarray | np.bool_]:
+    """The draw of a stage's coins: `size` flips u < threshold, u uniform in [0, 1) from stream(name).
+
+    At a threshold of 0 or below, or 1 or above, every flip comes out the same
+    whatever u is, so the stream is not made and the draw returns that one
+    value, which broadcasts over a block. Each stage has its own stream, so
+    skipping one moves no other stage's numbers.
+    """
+    if threshold <= 0.0 or threshold >= 1.0:
+        fixed = np.bool_(threshold >= 1.0)
+        return lambda size: fixed
+    rng = stream(name)
+    return lambda size: rng.random(size) < threshold
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -98,7 +114,7 @@ class _Model:
 
     amp: np.ndarray  # (2 depol, 2 x, 2 y, 8 fates) complex amplitudes
     prob: np.ndarray  # |amp|^2
-    # Per atom, (2 depol, 2 branch): r of a photon past the node, s = sqrt(1 - |r|^2) of one lost there.
+    # Per atom, (2 depol, 2 branch): r of a photon past the node, s of one lost there (ReflectionPair.s).
     reflection: tuple[np.ndarray, np.ndarray]
     loss: tuple[np.ndarray, np.ndarray]
     c_good: tuple[np.ndarray, np.ndarray]  # post-first-pulse amplitudes per atom
@@ -113,14 +129,12 @@ class _Model:
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "_Model":
-        pair1 = config.node1.pair()
-        pair2 = config.node2.pair()
+        pair1, pair2 = config.node1.pair(), config.node2.pair()
         imp1, imp2 = config.node1.imperfections, config.node2.imperfections
-        r1 = [pair1.r_coupled, pair1.r_uncoupled]
-        r2 = [pair2.r_coupled, pair2.r_uncoupled]
         # A scrambled pulse meets node 2's empty pair on both branches.
-        reflection = (np.array([r1, r1]), np.array([r2, [pair2.r_uncoupled] * 2]))
-        loss = tuple(np.array([[_loss_amplitude(z) for z in row] for row in r]) for r in reflection)
+        pairs = ((pair1, pair1), (pair2, config.node2.empty_pair()))
+        reflection = tuple(np.array([[p.r_coupled, p.r_uncoupled] for p in row]) for row in pairs)
+        loss = tuple(np.array([p.s for p in row]) for row in pairs)
         t_fiber = config.channel.transmission
         t_det = config.detection_efficiency
         eta_a = config.detector_a.efficiency
@@ -341,9 +355,10 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     order: every stream draws the same numbers in the same order, because
     numpy's draws in consecutive blocks are those of one draw, numpy's
     multinomial draws nothing for n = 0, and each branch's trials are taken
-    in trial order; and any member of a record group gives the same
-    probabilities, because each row's probabilities are computed from that
-    row's record alone.
+    in trial order; a stage whose probability is 0 or 1 draws nothing at all
+    (`_coins`), and no other stage reads its stream; and any member of a
+    record group gives the same probabilities, because each row's
+    probabilities are computed from that row's record alone.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -372,19 +387,18 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     # 2 (x * 2 + y) + depolarized, or 8 for a trial without photons, which draws no fates.
     branch = np.empty(trials, dtype=np.uint8)
     counts = np.empty((len(blocks), 9), dtype=np.intp)  # trials per block and branch
-    prep1_rng, prep2_rng, depolarization, branch_label = map(
-        stream, ("prep1", "prep2", "depolarization", "branch_label")
-    )
+    prep1, prep2 = _coins(stream, "prep1", model.prep[0]), _coins(stream, "prep2", model.prep[1])
+    depolarization = _coins(stream, "depolarization", model.scramble)
+    branch_label = stream("branch_label")
     for i, block in enumerate(blocks):
         size = block.stop - block.start
-        prep1 = prep1_rng.random(size) < model.prep[0]
-        prep2 = prep2_rng.random(size) < model.prep[1]
         if photon_number is not None:
             drawn = photon_number.poisson(mean_photon, size=size)
             n = _widened(n, drawn.max())
             n[block] = drawn
-        depol = np.less(depolarization.random(size), model.scramble, out=depolarized[block])
-        record[block] = depol * np.uint8(4) + prep1 * np.uint8(2) + prep2
+        depolarized[block] = depolarization(size)
+        depol = depolarized[block]
+        record[block] = depol * np.uint8(4) + prep1(size) * np.uint8(2) + prep2(size)
         label = _categories(branch_label, w_cum, record[block])
         branch[block] = np.where(n[block] > 0, 2 * label + depol, 8)
         counts[i] = np.bincount(branch[block], minlength=9)
@@ -446,18 +460,18 @@ def _simulate_arrays(config: ExperimentConfig, mean_photon: float, trials: int) 
     cumulative = probs.reshape(-1, 4).cumsum(axis=1).T
 
     s1_up, s2_up, click_a, click_b = (np.empty(trials, dtype=bool) for _ in range(4))
-    atom_outcome, readout1, readout2, dark_a, dark_b = map(
-        stream, ("atom_outcome", "readout1", "readout2", "dark_a", "dark_b")
-    )
-    flip = (1.0 - model.readout[0], 1.0 - model.readout[1])  # readout error rates
-    p_dark = model.p_dark
+    atom_outcome = stream("atom_outcome")
+    # A readout flips at the error rate 1 - fidelity.
+    readout1 = _coins(stream, "readout1", 1.0 - model.readout[0])
+    readout2 = _coins(stream, "readout2", 1.0 - model.readout[1])
+    dark_a, dark_b = _coins(stream, "dark_a", model.p_dark[0]), _coins(stream, "dark_b", model.p_dark[1])
     for block in blocks:
         size = block.stop - block.start
         z = _categories(atom_outcome, cumulative, row[block])
-        np.logical_xor(z < 2, readout1.random(size) < flip[0], out=s1_up[block])
-        np.logical_xor(z % 2 == 0, readout2.random(size) < flip[1], out=s2_up[block])
-        np.logical_or(fate_counts[block, _F_AHIT] > 0, dark_a.random(size) < p_dark[0], out=click_a[block])
-        np.logical_or(fate_counts[block, _F_BHIT] > 0, dark_b.random(size) < p_dark[1], out=click_b[block])
+        np.logical_xor(z < 2, readout1(size), out=s1_up[block])
+        np.logical_xor(z % 2 == 0, readout2(size), out=s2_up[block])
+        np.logical_or(fate_counts[block, _F_AHIT] > 0, dark_a(size), out=click_a[block])
+        np.logical_or(fate_counts[block, _F_BHIT] > 0, dark_b(size), out=click_b[block])
     return {
         "n": n,
         "fate_counts": fate_counts,

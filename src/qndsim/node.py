@@ -99,15 +99,25 @@ class NodeImperfections:
 
 @dataclass(frozen=True)
 class ReflectionPair:
-    """Complex amplitude reflection coefficients for the two atomic branches."""
+    """Complex amplitude reflection coefficients for the two atomic branches.
+
+    s holds the branches' loss amplitudes (coupled, uncoupled), with
+    |r|^2 + s^2 = 1. None resolves it to sqrt(1 - |r|^2), which one ulp of
+    |r|^2 moves by 1e-8 at |r| = 1; a cavity's pair takes s from
+    loss_amplitude instead (reflection_pair).
+    """
 
     r_coupled: complex
     r_uncoupled: complex
+    s: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         for name, r in (("r_coupled", self.r_coupled), ("r_uncoupled", self.r_uncoupled)):
             if abs(r) > 1.0 + 1e-12:
                 raise ConfigError(f"|{name}| = {abs(r)} exceeds 1")
+        if self.s is None:
+            r = (self.r_coupled, self.r_uncoupled)
+            object.__setattr__(self, "s", tuple(math.sqrt(max(0.0, 1.0 - abs(complex(x)) ** 2)) for x in r))
 
 
 def reflection_coefficients(params: CqedParams, coupled: bool) -> complex:
@@ -127,10 +137,29 @@ def reflection_coefficients(params: CqedParams, coupled: bool) -> complex:
     return complex(r)
 
 
+def loss_amplitude(params: CqedParams, coupled: bool) -> float:
+    """s = sqrt(1 - |r|^2) of reflection_coefficients, from the closed form below s = 1/2.
+
+    1 - |r|^2 = 4 kappa_r (kappa - kappa_r + g^2 gamma/(gamma^2 + da^2)) / |D|^2,
+    D = i dc + kappa + g^2/(gamma + i da), with g = 0 for the uncoupled branch.
+    Formed from a rounded |r|, s is off by about 1e-16 / s. The closed form is
+    exactly 0 for a lossless empty resonator (kappa_r = kappa) at any
+    detuning, where |r| may round below 1 and would read s = 1.49e-8. From
+    s = 1/2 the two agree within an ulp, and the form from |r| is kept: one ulp
+    of s moves numpy's multinomial fate draws, so most Monte Carlo samples.
+    """
+    g2 = params.g**2 if coupled else 0.0
+    absorbed = params.kappa - params.kappa_r + g2 * params.gamma / (params.gamma**2 + params.delta_a**2)
+    denom = 1j * params.delta_c + params.kappa + g2 / (params.gamma + 1j * params.delta_a)
+    s = math.sqrt(4.0 * params.kappa_r * absorbed) / abs(denom)
+    return s if s < 0.5 else math.sqrt(1.0 - abs(reflection_coefficients(params, coupled)) ** 2)
+
+
 def reflection_pair(params: CqedParams) -> ReflectionPair:
     return ReflectionPair(
         reflection_coefficients(params, coupled=True),
         reflection_coefficients(params, coupled=False),
+        (loss_amplitude(params, coupled=True), loss_amplitude(params, coupled=False)),
     )
 
 
@@ -152,9 +181,7 @@ def reflect(
     pq, pm = state.position(qubit), state.position(mode)
     if state.kinds[pq] != "q" or state.kinds[pm] != "m":
         raise ConfigError(f"reflect needs a qubit and a mode, got {qubit!r}, {mode!r}")
-    kraus = _branch_reflection_kraus(
-        state.dims[pm], complex(pair.r_coupled), complex(pair.r_uncoupled)
-    )
+    kraus = _branch_reflection_kraus(state.dims[pm], pair)
     out = apply_channel(state, kraus, [qubit, mode])
     if contrast < 1.0:
         out = branch_distinguishability(out, qubit, mode, contrast)
@@ -162,15 +189,15 @@ def reflect(
 
 
 @lru_cache(maxsize=None)
-def _branch_reflection_kraus(dim: int, r_coupled: complex, r_uncoupled: complex) -> np.ndarray:
+def _branch_reflection_kraus(dim: int, pair: ReflectionPair) -> np.ndarray:
     """Stacked family of reflect() on (qubit, mode): each branch's reflection, block by block.
 
     The k-photons-lost operators of the two branches share one index, so the
     loss ancilla is common; operators zero on both branches are dropped.
     """
     kraus = np.zeros((dim, 2 * dim, 2 * dim), dtype=complex)
-    kraus[:, :dim, :dim] = _reflection_kraus(dim, r_coupled)
-    kraus[:, dim:, dim:] = _reflection_kraus(dim, r_uncoupled)
+    kraus[:, :dim, :dim] = _reflection_kraus(dim, complex(pair.r_coupled), pair.s[0])
+    kraus[:, dim:, dim:] = _reflection_kraus(dim, complex(pair.r_uncoupled), pair.s[1])
     return _freeze(kraus[kraus.any(axis=(1, 2))])
 
 

@@ -39,7 +39,6 @@ from .fock import (
     JointState,
     ModeState,
     _check_blocks,
-    _loss_amplitude,
     pulse_amplitudes,
 )
 from .node import (
@@ -71,7 +70,7 @@ class NodeConfig:
     def empty_pair(self) -> ReflectionPair:
         """Reflection seen by a pulse that no longer couples to the atom."""
         p = self.pair()
-        return ReflectionPair(p.r_uncoupled, p.r_uncoupled)
+        return ReflectionPair(p.r_uncoupled, p.r_uncoupled, (p.s[1], p.s[1]))
 
 
 @dataclass(frozen=True)
@@ -191,11 +190,11 @@ def _reflection_weights(pair: ReflectionPair, contrast: float = 1.0) -> tuple[np
     """Per-photon weights (a, b)[x, y] of a reflection on an atom's blocks |x><y|.
 
     A photon of block (x, y) is kept with a = r_x conj(r_y) and lost with
-    b = s_x s_y, s = sqrt(1 - |r|^2); a contrast below one tags each kept
-    photon with its branch, which scales a by the contrast when x != y.
+    b = s_x s_y, the pair's loss amplitudes; a contrast below one tags each
+    kept photon with its branch, which scales a by the contrast when x != y.
     """
     r = np.array([complex(pair.r_coupled), complex(pair.r_uncoupled)])
-    s = np.array([_loss_amplitude(x) for x in r])
+    s = np.array(pair.s)
     return np.outer(r, r.conj()) * np.array([[1.0, contrast], [contrast, 1.0]]), np.outer(s, s)
 
 

@@ -27,7 +27,7 @@ from .node import (
     NodeImperfections,
     ReflectionPair,
     prepare,
-    reflection_coefficients,
+    reflection_pair,
     rotation_matrix,
 )
 from .protocol import HALF_PI, _compose, _read_atom, _reflection_weights, _thin
@@ -106,13 +106,12 @@ class SorterConfig:
         return math.pi / 2.0 ** (node_index - 1)
 
     def gate_pair(self, node_index: int) -> ReflectionPair:
-        """Gate of node j, a reflection (|r_c|, |r_u| e^{i theta_j}); unit moduli without node_params."""
-        r_c, r_u = 1.0, 1.0
+        """Gate of node j, a reflection (|r_c|, |r_u| e^{i theta_j}); lossless without node_params."""
+        r_c, r_u, s = 1.0, 1.0, (0.0, 0.0)
         if self.node_params is not None:
-            params = self.node_params[node_index - 1]
-            r_c = abs(reflection_coefficients(params, coupled=True))
-            r_u = abs(reflection_coefficients(params, coupled=False))
-        return ReflectionPair(complex(r_c), complex(r_u * np.exp(1j * self.phase(node_index))))
+            pair = reflection_pair(self.node_params[node_index - 1])
+            r_c, r_u, s = abs(pair.r_coupled), abs(pair.r_uncoupled), pair.s
+        return ReflectionPair(complex(r_c), complex(r_u * np.exp(1j * self.phase(node_index))), s)
 
     def space(self) -> FockSpace:
         if self.n_max is not None:

@@ -16,10 +16,11 @@ with probability 1 - eta/2, so the no-click probabilities are the generating
 function at z = 1 - eta_a/2, 1 - eta_b/2 and 1 - (eta_a + eta_b)/2, times the
 dark-count factors, and the other outcomes follow by inclusion-exclusion.
 
-The oracle builds its weights from ReflectionPair, ChannelParams and
-NodeImperfections itself and imports no propagation helper, so it does not
-share the runtime's thinning algebra. The runtime truncates a coherent pulse
-at n_max and renormalizes it; every table entry is an average over the input
+The oracle builds its weights from the reflection coefficients, ChannelParams
+and NodeImperfections itself and imports no propagation helper, so it does
+not share the runtime's thinning algebra; a cavity's loss amplitudes come
+from the oracle's own closed form. The runtime truncates a coherent pulse at
+n_max and renormalizes it; every table entry is an average over the input
 photon number of a probability in [0, 1], so that moves it by at most the
 Poisson tail beyond n_max.
 """
@@ -34,17 +35,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_configs
-from qndsim.node import ReflectionPair, prepare, rotation_matrix
+from qndsim.node import prepare, rotation_matrix
 from qndsim.protocol import run_cascade, run_single
 
 
-def _reflection(pair: ReflectionPair, contrast: float, bits: np.ndarray) -> tuple:
-    """Per-photon (kept, lost) weights on the blocks |X><Y| of a reflection off the atom at bits."""
-    r = np.array([pair.r_coupled, pair.r_uncoupled], dtype=complex)
-    # s = sqrt(1 - |r|^2) is ill-conditioned at |r| = 1, where one ulp of |r|^2
-    # moves it by 1e-8. A detuned lossless empty resonator has |r| = 1 up to
-    # rounding, so s is formed as the runtime forms it, from Python's abs of r.
-    s = np.array([math.sqrt(max(0.0, 1.0 - abs(complex(x)) ** 2)) for x in r])
+def _loss(node) -> np.ndarray:
+    """Loss amplitudes s (coupled, uncoupled) of a node's reflection.
+
+    s = sqrt(1 - |r|^2) is ill-conditioned at |r| = 1, where one ulp of |r|^2
+    moves it by 1e-8, and a detuned lossless empty resonator has |r| = 1 up to
+    rounding. So for a cavity s comes from r = 1 - 2 kappa_r / D,
+    D = i dc + kappa + g^2/(gamma + i da): 1 - |r|^2 = 4 kappa_r (Re D - kappa_r) / |D|^2.
+    """
+    if node.reflection_override is not None:
+        return np.array([math.sqrt(max(0.0, 1.0 - abs(complex(r)) ** 2)) for r in node.reflection_override])
+    p = node.cqed
+    d = np.array([1j * p.delta_c + p.kappa + g**2 / (p.gamma + 1j * p.delta_a) for g in (p.g, 0.0)])
+    return np.sqrt(4.0 * p.kappa_r * (d.real - p.kappa_r)) / np.abs(d)
+
+
+def _reflection(r: np.ndarray, s: np.ndarray, contrast: float, bits: np.ndarray) -> tuple:
+    """Per-photon (kept, lost) weights on the blocks |X><Y| of a reflection off the atom at bits.
+
+    r, s: each branch's (coupled, uncoupled) reflection and loss amplitudes.
+    """
     x, y = bits[:, None], bits[None, :]
     # A kept photon carries its branch's wavepacket; the overlap is the contrast.
     return r[x] * r[y].conj() * np.where(x == y, 1.0, contrast), s[x] * s[y]
@@ -56,16 +70,18 @@ def _path(config, nodes: tuple[int, ...], scrambled: bool) -> tuple:
     bits = {node: (np.arange(2**k) >> (k - 1 - i)) & 1 for i, node in enumerate(nodes)}
     n1, n2 = config.node1, config.node2
     t, eta = config.channel.transmission, config.detection_efficiency
+    r1, r2 = (np.array([p.r_coupled, p.r_uncoupled], dtype=complex) for p in (n1.pair(), n2.pair()))
     stages = []
     if 1 in nodes:
-        stages.append(_reflection(n1.pair(), n1.imperfections.reflection_contrast, bits[1]))
+        stages.append(_reflection(r1, _loss(n1), n1.imperfections.reflection_contrast, bits[1]))
     stages.append((t, 1.0 - t))
     if 2 in nodes:
+        s2 = _loss(n2)
         if scrambled:
-            r_u = n2.pair().r_uncoupled
-            stages.append(_reflection(ReflectionPair(r_u, r_u), 1.0, bits[2]))
+            # The scrambled pulse meets the empty resonator on both branches.
+            stages.append(_reflection(r2[[1, 1]], s2[[1, 1]], 1.0, bits[2]))
         else:
-            stages.append(_reflection(n2.pair(), n2.imperfections.reflection_contrast, bits[2]))
+            stages.append(_reflection(r2, s2, n2.imperfections.reflection_contrast, bits[2]))
     stages.append((eta, 1.0 - eta))
     kept, lost = np.ones((2**k, 2**k)), np.zeros((2**k, 2**k))
     for a, b in stages:
@@ -129,6 +145,13 @@ class TestGeneratingFunctionOracle:
     @pytest.mark.parametrize("fock_n", [0, 1, 2, 24])
     def test_fock_input(self, base_config, fock_n):
         assert_runtime_matches_oracle(replace(base_config, input_kind="fock", fock_n=fock_n), 0.0)
+
+    def test_detuned_lossless_empty_cavities(self, base_config):
+        # kappa_r = kappa: |r_u| = 1 exactly, and rounds to 0.9999999999999999.
+        nodes = [replace(n, cqed=replace(n.cqed, delta_c=0.5)) for n in (base_config.node1, base_config.node2)]
+        config = replace(base_config, node1=nodes[0], node2=nodes[1])
+        for mu in (0.04, 0.45, 3.11):
+            assert_runtime_matches_oracle(config, mu)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(config=random_configs(), fock_n=st.integers(0, 4))

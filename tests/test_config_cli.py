@@ -462,3 +462,47 @@ class TestCliMain:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+class TestBlasThreads:
+    """The CLI runs numpy's BLAS on one thread unless the caller chose a count; the library leaves it alone."""
+
+    BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @classmethod
+    def fresh_interpreter(cls, module, **preset):
+        """`import module` in a new interpreter without the BLAS thread variables but `preset`.
+
+        Returns OPENBLAS_NUM_THREADS as the child reads it after the import,
+        and the child's thread count, None where /proc is absent.
+        """
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import json, os\n"
+            f"import {module}\n"
+            "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+            "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {k: v for k, v in os.environ.items() if k not in cls.BLAS_VARIABLES}
+        env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout.strip().splitlines()[-1])
+
+    def test_cli_runs_blas_on_one_thread(self):
+        variable, tasks = self.fresh_interpreter("qndsim.cli")
+        assert variable == "1"
+        if tasks is not None:
+            assert tasks == 1  # numpy loaded, and no BLAS worker beside the main thread
+
+    def test_an_explicit_count_wins(self):
+        variable, _ = self.fresh_interpreter("qndsim.cli", OPENBLAS_NUM_THREADS="2")
+        assert variable == "2"
+
+    def test_library_import_leaves_blas_alone(self):
+        variable, _ = self.fresh_interpreter("qndsim.protocol")
+        assert variable is None

@@ -666,7 +666,7 @@ class TestApplyChannelImage:
             inside = np.flatnonzero(coords[-1] < kept)
             matrix = np.zeros((len(coords[-1]),) * 2, dtype=complex)
             matrix[np.ix_(inside, inside)] = state.matrix
-            kraus = _reflection_kraus(space.dim, complex(0.8 * np.exp(0.4j)))
+            kraus = _reflection_kraus(space.dim, complex(0.8 * np.exp(0.4j)), 0.6)
             assert not kraus.any(axis=2).all()  # the family has exactly-zero rows
             outside = coords[-1] >= kept
             self.assert_matches_reference_and_zero_outside(matrix, dims, kraus, [len(dims) - 1], outside)

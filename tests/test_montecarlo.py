@@ -274,6 +274,50 @@ class TestSamplerMatchesReference:
         assert_same_samples(config, mean_photon, trials)
 
 
+class TestFixedStagesDrawNothing:
+    """A stage whose outcome is fixed makes no stream, and the samples stay the per-trial reference's."""
+
+    # The stages that can decide an outcome on any config with light.
+    ALWAYS = ("photon_number", "branch_label", "fates", "atom_outcome")
+
+    @staticmethod
+    def stages_asked(monkeypatch, config, mean_photon, trials=3 * BLOCK + 7):
+        asked = []
+
+        def spy(seed, mean_photon, name):
+            asked.append(name)
+            return _sweep_stream(seed, mean_photon, name)
+
+        monkeypatch.setattr(montecarlo, "_sweep_stream", spy)
+        arrays = _simulate_arrays(config, mean_photon, trials)
+        # The reference draws every stage, through its own _sweep_stream.
+        expected = reference_simulate_arrays(config, mean_photon, trials)
+        assert arrays.keys() == expected.keys()
+        for key in expected:
+            assert np.array_equal(arrays[key], expected[key]), key
+        return sorted(asked)
+
+    @pytest.mark.parametrize("fidelity", [1.0, 0.0])
+    def test_idle_stages(self, base_config, monkeypatch, fidelity):
+        # At fidelity 1 a preparation never fails and a readout never flips;
+        # at 0 the reverse. No scrambling and no dark counts draw nothing either.
+        values = config_values(base_config)
+        for node in ("node1", "node2"):
+            values.update({f"{node}.prep_fidelity": fidelity, f"{node}.readout_fidelity": fidelity})
+        values.update({"channel.depolarization": 0.0, "channel.birefringence_residual": 0.0})
+        values.update({"detector_a.dark_rate": 0.0, "detector_b.dark_rate": 0.0})
+        assert self.stages_asked(monkeypatch, build_config(values), 0.45) == sorted(self.ALWAYS)
+
+    def test_default_config_skips_preparation_and_readout(self, base_config, monkeypatch):
+        expected = sorted(self.ALWAYS + ("depolarization", "dark_a", "dark_b"))
+        assert self.stages_asked(monkeypatch, base_config, 0.45) == expected
+
+    def test_every_stage_on_an_imperfect_config(self, base_config, monkeypatch):
+        values = config_values(imperfect_config(base_config, "coherent", 1))
+        values.update({"node1.readout_fidelity": 0.9, "node2.readout_fidelity": 0.95})
+        assert self.stages_asked(monkeypatch, build_config(values), 0.9) == sorted(montecarlo._STAGES)
+
+
 class TestKernelReadsOnlyWhatTheAtomsSee:
     """The grouping's premise: how the photons split behind node 2 reaches no atom."""
 

@@ -22,6 +22,7 @@ from qndsim.node import (
     dephase,
     dephase_visibility,
     detect_state,
+    loss_amplitude,
     prepare,
     reflect,
     reflection_coefficients,
@@ -70,6 +71,24 @@ class TestReflectionCoefficients:
                 params = CqedParams(g=7.6, kappa=2.5, gamma=3.0, delta_c=dc, delta_a=da)
                 for coupled in (True, False):
                     assert abs(reflection_coefficients(params, coupled)) <= 1 + 1e-12
+
+    def test_loss_amplitude_completes_the_reflection(self):
+        for kappa_r in (2.5, 2.2, 0.4):
+            for dc in np.linspace(-20, 20, 9):
+                for da in np.linspace(-20, 20, 9):
+                    params = CqedParams(g=7.6, kappa=2.5, gamma=3.0, kappa_r=kappa_r, delta_c=dc, delta_a=da)
+                    for coupled in (True, False):
+                        s = loss_amplitude(params, coupled)
+                        r = reflection_coefficients(params, coupled)
+                        assert abs(r) ** 2 + s**2 == pytest.approx(1.0, abs=1e-15)
+
+    def test_loss_amplitude_from_reflection_above_one_half(self):
+        # Where both forms agree within an ulp, s keeps the one from |r|, which
+        # the Monte Carlo fate draws of the default nodes were made with.
+        for params in (NODE1, NODE2):
+            s = math.sqrt(1.0 - abs(reflection_coefficients(params, coupled=True)) ** 2)
+            assert s > 0.5
+            assert loss_amplitude(params, coupled=True) == s
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
@@ -120,8 +139,8 @@ class TestStackedKrausFamilies:
     P_DN = np.diag([0.0, 1.0]).astype(complex)
 
     def _kron_reflection(self, dim, pair):
-        b_c = _reflection_kraus(dim, complex(pair.r_coupled))
-        b_u = _reflection_kraus(dim, complex(pair.r_uncoupled))
+        b_c = _reflection_kraus(dim, complex(pair.r_coupled), pair.s[0])
+        b_u = _reflection_kraus(dim, complex(pair.r_uncoupled), pair.s[1])
         ops = [np.kron(self.P_UP, kc) + np.kron(self.P_DN, ku) for kc, ku in zip(b_c, b_u)]
         return [k for k in ops if np.any(k)]
 
@@ -148,8 +167,7 @@ class TestStackedKrausFamilies:
         pairs.append(ReflectionPair(1.0, complex(np.exp(0.5j * math.pi))))
         for dim in (2, 5, 19):
             for pair in pairs:
-                r_c, r_u = complex(pair.r_coupled), complex(pair.r_uncoupled)
-                got = _branch_reflection_kraus(dim, r_c, r_u)
+                got = _branch_reflection_kraus(dim, pair)
                 assert np.array_equal(got, np.array(self._kron_reflection(dim, pair)))
                 assert not got.flags.writeable
 

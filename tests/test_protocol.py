@@ -325,8 +325,7 @@ class TestThinningWeights:
         return np.stack([_thin(one, a, b) for one in np.eye(self.DIM)], axis=-1)
 
     def _assert_reflection(self, pair, contrast=1.0):
-        r_c, r_u = complex(pair.r_coupled), complex(pair.r_uncoupled)
-        expected = _transfer(_branch_reflection_kraus(self.DIM, r_c, r_u))
+        expected = _transfer(_branch_reflection_kraus(self.DIM, pair))
         if contrast < 1.0:
             expected = _transfer(_distinguishability_kraus(self.DIM, contrast)) @ expected
         got = self._binomial_transfer(*_reflection_weights(pair, contrast))
@@ -334,7 +333,8 @@ class TestThinningWeights:
 
     def test_near_unit_reflection(self):
         # |r_u| = 1 in exact arithmetic; this detuning rounds it just below, where
-        # s = sqrt(1 - |r|^2) moves by 1e-8 per ulp of |r|^2.
+        # sqrt(1 - |r|^2) moves by 1e-8 per ulp of |r|^2. The pair's s is the
+        # closed form's 0, and the Kraus family reads the same s.
         pair = reflection_pair(CqedParams(7.6, 2.5, 3.0, delta_c=0.11202338443976245))
         assert abs(pair.r_uncoupled) == 0.9999999999999999
         self._assert_reflection(pair)
@@ -345,13 +345,44 @@ class TestThinningWeights:
 
     def test_loss(self):
         t = 0.37
-        self._assert_reflection(ReflectionPair(math.sqrt(t), math.sqrt(t)))
-        expected = _transfer(_branch_reflection_kraus(self.DIM, math.sqrt(t), math.sqrt(t)))[0, 0]
+        pair = ReflectionPair(math.sqrt(t), math.sqrt(t))
+        self._assert_reflection(pair)
+        expected = _transfer(_branch_reflection_kraus(self.DIM, pair))[0, 0]
         np.testing.assert_allclose(self._binomial_transfer(t, 1.0 - t), expected, rtol=0, atol=1e-15)
 
     def test_sorter_gate(self):
         params = (CqedParams(7.6, 2.5, 3.0, delta_c=0.3),) * 3
         self._assert_reflection(SorterConfig(k=3, node_params=params).gate_pair(3))
+
+
+class TestLosslessEmptyCavity:
+    """A detuned one-sided empty cavity (kappa_r = kappa) reflects every photon."""
+
+    @pytest.fixture
+    def config(self, base_config):
+        detuned = [replace(n, cqed=replace(n.cqed, delta_c=0.5)) for n in (base_config.node1, base_config.node2)]
+        assert all(n.cqed.kappa_r == n.cqed.kappa for n in detuned)
+        return replace(base_config, node1=detuned[0], node2=detuned[1])
+
+    def test_loss_amplitude_is_zero(self, config):
+        for node in (config.node1, config.node2):
+            pair = node.pair()
+            # sqrt(1 - |r|^2) of the rounded |r| would read 1.49e-8.
+            assert abs(pair.r_uncoupled) == 0.9999999999999999
+            assert pair.s[1] == 0.0
+            assert node.empty_pair().s == (0.0, 0.0)
+
+    def test_engines_lose_no_photon(self, config):
+        from qndsim.montecarlo import _F_LOST1, _F_LOST2, _Model
+
+        for node in (config.node1, config.node2):
+            lost = _reflection_weights(node.pair(), node.imperfections.reflection_contrast)[1]
+            assert not lost[1].any() and not lost[:, 1].any()  # every block of the uncoupled branch
+            assert not _reflection_weights(node.empty_pair())[1].any()
+        prob = _Model.from_config(config).prob  # (depolarized, x, y, fate)
+        assert not prob[:, 1, :, _F_LOST1].any()
+        assert not prob[:, :, 1, _F_LOST2].any()
+        assert not prob[1, :, :, _F_LOST2].any()  # a scrambled pulse meets the empty cavity
 
 
 class TestCondition:
