@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +42,15 @@ def no_click_weights(dim: int, params: DetectorParams) -> np.ndarray:
     return (1.0 - params.p_dark) * (1.0 - params.efficiency) ** n
 
 
+@lru_cache(maxsize=64)
+def _click_weights(dim: int, params: DetectorParams) -> np.ndarray:
+    """Read-only (2, dim) stack of one detector's weights: row 0 'no click', row 1 'click'."""
+    no = no_click_weights(dim, params)
+    stack = np.stack([no, 1.0 - no])
+    stack.flags.writeable = False
+    return stack
+
+
 def hbt_split_and_count(
     state: JointState,
     mode: str,
@@ -64,7 +74,5 @@ def hbt_split_and_count(
     numbers = np.moveaxis(diagonal, split.position(mode), 0).reshape(dim, -1, dim).sum(1)
     tables = np.empty((len(detectors), 2, 2))
     for table, (params_a, params_b) in zip(tables, detectors):
-        no_a, no_b = no_click_weights(dim, params_a), no_click_weights(dim, params_b)
-        # Row 0 of each weight stack is 'no click', row 1 'click'.
-        table[...] = np.stack([no_a, 1.0 - no_a]) @ numbers @ np.stack([no_b, 1.0 - no_b]).T
+        table[...] = _click_weights(dim, params_a) @ numbers @ _click_weights(dim, params_b).T
     return tables

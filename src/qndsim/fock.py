@@ -17,7 +17,7 @@ matrix decide against the floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -41,6 +41,8 @@ MIN_PROBABILITY = 1e-12
 _POSITIVITY_DIM_LIMIT = 128
 
 
+# Bounded: a long-lived caller may ask for many mean photon numbers.
+@lru_cache(maxsize=1024)
 def _poisson_sf(n: int, mean_photon: float) -> float:
     """P(N > n) for N ~ Poisson(mean_photon), summed over the tail in log space.
 
@@ -70,7 +72,7 @@ def _check_density(matrix: np.ndarray, what: str) -> None:
     support = np.flatnonzero(rows | matrix[rows].any(0))
     # np.ix_ gathers the submatrix without a support x dim intermediate.
     sub = matrix if support.size == len(matrix) else matrix[np.ix_(support, support)]
-    herm = np.max(np.abs(sub - sub.conj().T), initial=0.0)
+    herm = np.abs(sub - sub.conj().T).max(initial=0.0)
     # A non-finite entry is nonzero, so it lies in the support, and it makes
     # its own deviation non-finite.
     if not math.isfinite(herm):
@@ -80,7 +82,7 @@ def _check_density(matrix: np.ndarray, what: str) -> None:
             raise ValueError(f"{what}: non-finite entry {sub[i, j]} at ({support[i]}, {support[j]})")
     if herm > HERMITICITY_TOL:
         raise ValueError(f"{what}: not Hermitian (max deviation {herm:.3e})")
-    tr = np.trace(matrix).real
+    tr = matrix.trace().real
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{what}: trace {tr!r} differs from 1 beyond {TRACE_TOL}")
     if matrix.shape[0] <= _POSITIVITY_DIM_LIMIT:
@@ -88,8 +90,11 @@ def _check_density(matrix: np.ndarray, what: str) -> None:
         # least floor/2 less a rounding error of order dim * eps * |sub|, far
         # above the floor. Only a failed factorization pays for eigvalsh, which
         # then decides; both read the lower triangle.
+        # A gathered submatrix is already a copy of its own.
+        shifted = sub.copy() if sub is matrix else sub
+        shifted.flat[:: support.size + 1] -= EIGENVALUE_FLOOR / 2
         try:
-            np.linalg.cholesky(sub - (EIGENVALUE_FLOOR / 2) * np.eye(support.size))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             lo = float(np.linalg.eigvalsh(matrix)[0])
             if lo < EIGENVALUE_FLOOR:
@@ -108,13 +113,14 @@ def _check_blocks(blocks: np.ndarray, what: str) -> None:
     if not np.isfinite(blocks).all():
         n, i, j = np.argwhere(~np.isfinite(blocks))[0]
         raise ValueError(f"{what}: non-finite entry {blocks[n, i, j]} in block {n} at ({i}, {j})")
-    herm = np.max(np.abs(blocks - blocks.conj().swapaxes(1, 2)), initial=0.0)
+    herm = np.abs(blocks - blocks.conj().swapaxes(1, 2)).max(initial=0.0)
     if herm > HERMITICITY_TOL:
         raise ValueError(f"{what}: not Hermitian (max deviation {herm:.3e})")
-    tr = np.trace(blocks, axis1=1, axis2=2).real.sum()
+    tr = blocks.trace(axis1=1, axis2=2).real.sum()
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{what}: trace {tr!r} differs from 1 beyond {TRACE_TOL}")
-    lo = float(np.linalg.eigvalsh(blocks).min())
+    # eigvalsh returns a 1 x 1 block's real part, so those blocks skip the call.
+    lo = float((blocks.real if blocks.shape[1] == 1 else np.linalg.eigvalsh(blocks)).min())
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"{what}: negative eigenvalue {lo:.3e} below floor")
 
@@ -245,23 +251,22 @@ class JointState:
     kinds: tuple[str, ...]  # 'q' or 'm' per subsystem
     spaces: tuple[FockSpace | None, ...]
     matrix: np.ndarray
+    dims: tuple[int, ...] = field(init=False)  # per subsystem: 2 for a qubit, the mode's dim
 
     def __post_init__(self) -> None:
         if not (len(self.labels) == len(self.kinds) == len(self.spaces)):
             raise ValueError("label/kind/space bookkeeping mismatch")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate subsystem labels: {self.labels}")
-        dim = int(np.prod(self.dims))
+        dims = tuple(2 if k == "q" else s.dim for k, s in zip(self.kinds, self.spaces))
+        object.__setattr__(self, "dims", dims)
+        dim = math.prod(dims)
         if self.matrix.shape != (dim, dim):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} inconsistent with dims {self.dims}"
             )
         _check_density(self.matrix, "JointState")
         object.__setattr__(self, "matrix", _freeze(self.matrix))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(2 if k == "q" else s.dim for k, s in zip(self.kinds, self.spaces))
 
     def position(self, label: str) -> int:
         try:
@@ -327,15 +332,16 @@ def _apply_channel(
     the rows its column reaches (in the detector split, the n + 1 states of
     n photons). Any other input takes two gemms over the support and the image.
     """
-    k = len(dims)
+    k, dim = len(dims), math.prod(dims)
     targets = list(targets)
-    others = [i for i in range(k) if i not in targets]
-    perm = targets + others
-    dt = int(np.prod([dims[i] for i in targets]))
-    dr = int(np.prod([dims[i] for i in others])) if others else 1
-    t = matrix.reshape(tuple(dims) * 2)
-    t = np.transpose(t, axes=[*perm, *[k + p for p in perm]])
-    t = np.ascontiguousarray(t).reshape(dt, dr, dt, dr)
+    # Targets that are every subsystem in order need no permutation.
+    permuted = targets != list(range(k))
+    if permuted:
+        perm = targets + [i for i in range(k) if i not in targets]
+        matrix = np.transpose(matrix.reshape(tuple(dims) * 2), axes=[*perm, *[k + p for p in perm]])
+    dt = math.prod(dims[i] for i in targets)
+    dr = dim // dt
+    t = np.ascontiguousarray(matrix).reshape(dt, dr, dt, dr)
     kraus = np.asarray(kraus_ops, dtype=complex)  # (K, dt, dt)
     # Target indices whose rows and columns are exactly zero (a vacuum
     # ancilla, a Fock input) contribute nothing, so the contraction runs over
@@ -350,14 +356,19 @@ def _apply_channel(
     out = np.zeros((dt, dr, dt, dr), dtype=complex)
     weights = np.diagonal(t.reshape(ns, ns)) if dr == 1 else None
     if weights is not None and np.count_nonzero(t) == np.count_nonzero(weights):
-        # No product is larger than one column's reach, far below the size
-        # at which OpenBLAS hands work to a second thread.
-        square = out.reshape(dt, dt)
-        reached = kraus.any(axis=0)
-        for b, weight in enumerate(weights):
-            reach = np.flatnonzero(reached[:, b])
-            column = kraus[:, reach, b]
-            square[reach[:, None], reach] += weight * (column.T @ column.conj())
+        # Every basis state's reach is padded to the widest one, and all the
+        # outer products are formed at once, by einsum's own loops: no BLAS
+        # product, so no second OpenBLAS thread, and the padding is dropped.
+        reached = kraus.any(axis=0).T  # reached[b, a]: some K reaches |a> from |b>
+        width = reached.sum(1)
+        valid = np.arange(width.max(initial=0)) < width[:, None]
+        reach = np.zeros(valid.shape, dtype=np.intp)
+        reach[valid] = np.nonzero(reached)[1]
+        columns = kraus[:, reach, np.arange(ns)[:, None]]
+        products = np.einsum("kba,kbc->bac", columns, columns.conj())
+        products *= weights[:, None, None]
+        kept = valid[:, :, None] & valid[:, None, :]
+        np.add.at(out.reshape(-1), (reach[:, :, None] * dt + reach[:, None, :])[kept], products[kept])
     else:
         # Output indices that no operator reaches from the support (the
         # image) stay exactly zero, so only the image's rows are contracted.
@@ -373,11 +384,11 @@ def _apply_channel(
         right = kraus.conj().transpose(0, 2, 1).reshape(nk * ns, ni)
         every = np.arange(dr)
         out[np.ix_(image, every, image, every)] = (m @ right).reshape(ni, dr, dr, ni).transpose(0, 1, 3, 2)
-    out = out.reshape([dims[i] for i in perm] * 2)
-    inv = list(np.argsort(perm))
-    out = np.transpose(out, axes=[*inv, *[k + int(p) for p in inv]])
-    dim = int(np.prod(dims))
-    return np.ascontiguousarray(out).reshape(dim, dim)
+    if permuted:
+        out = out.reshape([dims[i] for i in perm] * 2)
+        inv = list(np.argsort(perm))
+        out = np.ascontiguousarray(np.transpose(out, axes=[*inv, *[k + int(p) for p in inv]]))
+    return out.reshape(dim, dim)
 
 
 def apply_channel(state: JointState, kraus_ops: Sequence[np.ndarray], labels: Sequence[str]) -> JointState:
@@ -483,7 +494,7 @@ def partial_trace(state: JointState, keep: Sequence[str]) -> JointState:
     for pos in sorted((i for i in range(k) if i not in keep_pos), reverse=True):
         t = np.trace(t, axis1=pos, axis2=pos + (k - traced))
         traced += 1
-    dim = int(np.prod([dims[i] for i in keep_pos]))
+    dim = math.prod(dims[i] for i in keep_pos)
     labels = tuple(state.labels[i] for i in keep_pos)
     kinds = tuple(state.kinds[i] for i in keep_pos)
     spaces = tuple(state.spaces[i] for i in keep_pos)
@@ -510,7 +521,7 @@ def measure_diagonal(
     shape[pos] = dims[pos]
     weighted = t * w.reshape(shape)
     reduced = np.trace(weighted, axis1=pos, axis2=pos + k)
-    rest = int(np.prod([d for i, d in enumerate(dims) if i != pos])) or 1
+    rest = math.prod(d for i, d in enumerate(dims) if i != pos)
     reduced = np.ascontiguousarray(reduced).reshape(rest, rest)
     reduced = (reduced + reduced.conj().T) / 2.0  # exact result is Hermitian
     p = float(np.real(np.trace(reduced)))

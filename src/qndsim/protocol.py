@@ -15,9 +15,12 @@ diagonal in photon number, so only the n = m sector reaches an output. The
 state is one 2^k x 2^k block of the k atoms per photon number. Each stage
 between the two pi/2 pulses keeps or loses every photon independently, with
 weights (a, b) per block, and thinnings compose, so the whole path is one
-thinning per block. Atomic readout is applied before the photon counting;
-all measurement channels act on disjoint subsystems, so this ordering does
-not affect the joint table. The number sorter runs on the same sector.
+thinning per block. Only the input photon numbers depend on mu, so that
+thinning map, the pulses and the atoms' state are built once per (config,
+nodes) and applied to each point's photon numbers. Atomic readout is applied
+before the photon counting; all measurement channels act on disjoint
+subsystems, so this ordering does not affect the joint table. The number
+sorter runs on the same sector.
 """
 
 from __future__ import annotations
@@ -212,31 +215,36 @@ def _binomial(dim: int) -> np.ndarray:
     return table
 
 
-def _thin(numbers: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W[..., m] = sum_n p_n C(n, m) a^m b^(n - m): per-photon weights (a, b) on p_n.
+def _thinning(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """M[..., m, n] = C(n, m) a^m b^(n - m): per-photon weights (a, b) as a map on photon numbers.
 
     Each of the n photons is independently kept with weight a and lost with
-    weight b; a and b broadcast together, one thinning per entry.
+    weight b; a and b broadcast together, one map per entry.
     """
-    n = np.arange(len(numbers))
+    n = np.arange(dim)
     lost = np.asarray(b)[..., None, None] ** np.maximum(n - n[:, None], 0)
-    return np.asarray(a)[..., None] ** n * ((lost * _binomial(len(numbers))) @ numbers)
+    return np.asarray(a)[..., None, None] ** n[:, None] * (lost * _binomial(dim))
 
 
-def _propagate(
-    config: ExperimentConfig, mean_photon: float, nodes: Sequence[int] = (1, 2)
-) -> np.ndarray:
-    """Number-diagonal blocks S[n] of the state after the final pi/2 pulses.
+def _thin(numbers: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W[..., m] = sum_n p_n C(n, m) a^m b^(n - m): the thinning map applied to p_n."""
+    return _thinning(a, b, len(numbers)) @ numbers
 
-    Only the listed nodes take part, one atom each in the listed order; a
-    missing node acts as a unit-reflectivity mirror, so (1,) or (2,) is the
-    single-node characterization run and the fiber and detection losses stay
-    where they are. The state is a (dim, 2^k, 2^k) stack of the k atoms'
-    blocks, one per photon number (see the module docstring); the fiber's
-    phase flip is the identity on it and drops out. Block (X, Y) is the
-    first pulses' atom block rho'_XY times the input photon numbers thinned
-    by the composed weights of every stage up to the detectors. Only the
-    final stack is formed, and it is validated.
+
+# A CLI run reads at most four: a config and its quiet_detectors() twin, for
+# the cascade's nodes or for each single node.
+@lru_cache(maxsize=8)
+def _propagator(config: ExperimentConfig, nodes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The mu-independent part of _propagate, as read-only (thinning, pulse, atoms).
+
+    thinning[X, Y, m, n] maps the input photon numbers n to the weights of
+    block (X, Y), with both fiber paths and the detection loss composed in;
+    pulse is the kron of the final pi/2 pulses and atoms the atoms' rho',
+    dephased between the pulses. Only the listed nodes take part, one atom
+    each in the listed order; a missing node acts as a unit-reflectivity
+    mirror, so (1,) or (2,) is the single-node characterization run and the
+    fiber and detection losses stay where they are. The fiber's phase flip is
+    the identity on the sector and drops out.
     """
     k = len(nodes)
     imps = [config.node(j).imperfections for j in nodes]
@@ -260,14 +268,33 @@ def _propagate(
         scrambled = reflection(2, n2.empty_pair())
         paths = [(1.0 - q, _compose(path, coupled)), (q, _compose(path, scrambled))]
 
-    numbers = config.input_numbers(mean_photon)
-    weights = sum(w * _thin(numbers, *_compose(p, (detection, 1.0 - detection))) for w, p in paths)
+    dim = config.fock_space().dim
+    thinning = sum(w * _thinning(*_compose(p, (detection, 1.0 - detection)), dim) for w, p in paths)
     pulses = [rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation()) for imp in imps]
     pulse = reduce(np.kron, pulses)
     visibilities = [np.array([[1.0, v], [v, 1.0]]) for v in map(NodeImperfections.visibility, imps)]
     atoms = reduce(np.kron, [prepare(imp.prep_fidelity) for imp in imps])
     # rho', dephased between the pulses: a channel on the atoms alone commutes with the thinning
     atoms = pulse @ atoms @ pulse.conj().T * reduce(np.kron, visibilities)
+    for array in (thinning, pulse, atoms):
+        array.flags.writeable = False
+    return thinning, pulse, atoms
+
+
+def _propagate(
+    config: ExperimentConfig, mean_photon: float, nodes: Sequence[int] = (1, 2)
+) -> np.ndarray:
+    """Number-diagonal blocks S[n] of the state after the final pi/2 pulses.
+
+    The state is a (dim, 2^k, 2^k) stack of the k atoms' blocks, one per
+    photon number (see the module docstring). Block (X, Y) is the first
+    pulses' atom block rho'_XY times the input photon numbers thinned by the
+    composed weights of every stage up to the detectors: _propagator's map,
+    built once per (config, nodes) and applied here to this point's input.
+    Only the final stack is formed, and it is validated.
+    """
+    thinning, pulse, atoms = _propagator(config, tuple(nodes))
+    weights = thinning @ config.input_numbers(mean_photon)
     blocks = pulse @ (np.moveaxis(weights, -1, 0) * atoms) @ pulse.conj().T
     _check_blocks(blocks, "propagated state")
     return blocks
@@ -285,7 +312,7 @@ def _read_atom(blocks: np.ndarray, f: float, what: str) -> list[tuple[int, float
     # Weights on the qubit's up (index 0) and down states.
     for up, (w0, w1) in ((0, (1.0 - f, f)), (1, (f, 1.0 - f))):
         reduced = w0 * split[:, 0, :, 0] + w1 * split[:, 1, :, 1]
-        p_read = float(np.trace(reduced, axis1=1, axis2=2).real.sum())
+        p_read = float(reduced.trace(axis1=1, axis2=2).real.sum())
         if p_read >= MIN_PROBABILITY:
             cond = reduced / p_read
             _check_blocks(cond, what)

@@ -389,6 +389,17 @@ class TestBlockValidation:
         with pytest.raises(ValueError, match=r"non-finite entry .* in block 1 at \(2, 1\)"):
             _check_blocks(blocks, "stack")
 
+    @pytest.mark.parametrize("lowest", [-1.01e-10, -1e-10, -0.99e-10, 0.0])
+    def test_one_by_one_blocks_decide_as_eigvalsh(self, lowest):
+        # The last readout leaves 1 x 1 blocks, whose eigenvalue the check reads without eigvalsh.
+        blocks = np.array([1.0 - lowest, lowest], dtype=complex).reshape(2, 1, 1)
+        expected = float(np.linalg.eigvalsh(blocks).min())
+        if expected < EIGENVALUE_FLOOR:
+            with pytest.raises(ValueError, match=f"negative eigenvalue {expected:.3e} below floor"):
+                _check_blocks(blocks, "stack")
+        else:
+            _check_blocks(blocks, "stack")
+
 
 def _reference_check_density(matrix: np.ndarray, what: str) -> None:
     """The dense check the support-and-Cholesky one replaced, kept to compare decisions."""

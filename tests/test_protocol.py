@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,8 +12,9 @@ from hypothesis import given, settings
 
 from conftest import conditional, random_configs
 from qndsim.channel import ChannelParams, detection_path, fiber_channel
-from qndsim.config import ideal_config
-from qndsim.detectors import hbt_split_and_count
+from qndsim.cli import main
+from qndsim.config import ideal_config, serialize_config
+from qndsim.detectors import _click_weights, hbt_split_and_count
 from qndsim.errors import ConfigError, ZeroProbabilityError
 from qndsim.estimators import G2_CONDITIONS, cells_from_distribution, g2_from_numbers, g2_table, snr
 from qndsim.fock import JointState, coherent_state, fock_state, loss_channel
@@ -23,9 +29,15 @@ from qndsim.node import (
     reflect,
     reflection_pair,
     rotate,
+    rotation_matrix,
 )
 from qndsim.protocol import (
+    HALF_PI,
     JointDistribution,
+    _binomial,
+    _compose,
+    _propagator,
+    _read_atom,
     _reflection_weights,
     _thin,
     branch_photon_numbers,
@@ -107,6 +119,61 @@ def dense_tables(config, mu, nodes=(1, 2), fiber=fiber_channel):
         numbers[bits] = p * np.real(np.diagonal(cond.matrix))
         clicks[bits] += p * hbt_split_and_count(cond, "ph", [(config.detector_a, config.detector_b)])[0]
     return branches, numbers, clicks
+
+
+def reference_propagate(config, mu, nodes=(1, 2)):
+    """Number-diagonal blocks after the final pulses, composed and thinned at this point.
+
+    The per-point formula that the engine's per-config map (protocol._propagator)
+    replaced, kept as its reference: every stage's per-photon weights are
+    composed, and the input photon numbers thinned, at each call.
+    """
+    k = len(nodes)
+    imps = [config.node(j).imperfections for j in nodes]
+
+    def reflection(node, pair, contrast=1.0):
+        bit = (np.arange(2**k) >> (k - 1 - nodes.index(node))) & 1
+        return tuple(w[bit[:, None], bit[None, :]] for w in _reflection_weights(pair, contrast))
+
+    def thin(numbers, a, b):
+        n = np.arange(len(numbers))
+        binomial = np.array([[math.comb(int(j), int(i)) for j in n] for i in n])
+        lost = np.asarray(b)[..., None, None] ** np.maximum(n - n[:, None], 0)
+        return np.asarray(a)[..., None] ** n * ((lost * binomial) @ numbers)
+
+    n1, n2 = config.node1, config.node2
+    fiber, detection = config.channel.transmission, config.detection_efficiency
+    path = (fiber, 1.0 - fiber)
+    if 1 in nodes:
+        path = _compose(reflection(1, n1.pair(), n1.imperfections.reflection_contrast), path)
+    paths = [(1.0, path)]
+    if 2 in nodes:
+        q = config.channel.scramble_probability
+        coupled = reflection(2, n2.pair(), n2.imperfections.reflection_contrast)
+        paths = [(1.0 - q, _compose(path, coupled)), (q, _compose(path, reflection(2, n2.empty_pair())))]
+    numbers = config.input_numbers(mu)
+    weights = sum(w * thin(numbers, *_compose(p, (detection, 1.0 - detection))) for w, p in paths)
+    pulse = reduce(np.kron, [rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation()) for imp in imps])
+    visibilities = reduce(np.kron, [np.array([[1.0, v], [v, 1.0]]) for v in (imp.visibility() for imp in imps)])
+    atoms = reduce(np.kron, [prepare(imp.prep_fidelity) for imp in imps])
+    atoms = pulse @ atoms @ pulse.conj().T * visibilities
+    return pulse @ (np.moveaxis(weights, -1, 0) * atoms) @ pulse.conj().T
+
+
+def reference_photon_numbers(config, mu, nodes=(1, 2)):
+    """branch_photon_numbers read from reference_propagate's blocks."""
+    branches = [((), 1.0, reference_propagate(config, mu, nodes))]
+    for k in nodes:
+        f = config.node(k).imperfections.readout_fidelity
+        branches = [
+            (bits + (up,), p * p_read, cond)
+            for bits, p, blocks in branches
+            for up, p_read, cond in _read_atom(blocks, f, "reference readout")
+        ]
+    table = np.zeros((2,) * len(nodes) + (config.fock_space().dim,))
+    for bits, p, blocks in branches:
+        table[bits] = p * blocks[:, 0, 0].real
+    return table
 
 
 def _loss_only_fiber(state, mode, params):
@@ -301,6 +368,94 @@ class TestSectorMatchesDense:
     @given(config=random_configs())
     def test_random_configs(self, config):
         self._assert_matches(config, config.mean_photon_sweep[0])
+
+
+class TestPropagatorMatchesPerPoint:
+    """The engine's per-config propagation map against the per-point formula it replaced."""
+
+    @staticmethod
+    def _assert_matches(config, mus):
+        for nodes in ((1, 2), (1,), (2,)):
+            for mu in mus:
+                np.testing.assert_allclose(
+                    branch_photon_numbers(config, mu, nodes),
+                    reference_photon_numbers(config, mu, nodes),
+                    rtol=0,
+                    atol=1e-14,
+                    err_msg=f"nodes {nodes}, mu {mu}",
+                )
+
+    @pytest.mark.parametrize("delta_c", [None, 0.5, 7.0])
+    def test_default_and_detuned(self, base_config, delta_c):
+        config = base_config
+        if delta_c is not None:
+            n1, n2 = (replace(n, cqed=replace(n.cqed, delta_c=delta_c)) for n in (config.node1, config.node2))
+            config = replace(config, node1=n1, node2=n2)
+        self._assert_matches(config, config.mean_photon_sweep)
+
+    def test_ideal(self, perfect_config):
+        self._assert_matches(perfect_config, perfect_config.mean_photon_sweep)
+
+    @pytest.mark.parametrize("fock_n", [2, 24])
+    def test_fock_input(self, base_config, fock_n):
+        self._assert_matches(replace(base_config, input_kind="fock", fock_n=fock_n), (0.0,))
+
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(config=random_configs())
+    def test_random_configs(self, config):
+        self._assert_matches(config, config.mean_photon_sweep)
+
+
+# Prints run_cascade's table at MU for the config text on stdin, from a fresh process.
+_FRESH_TABLE = """
+import json, sys
+from qndsim.config import parse_config_text
+from qndsim.protocol import run_cascade
+print(json.dumps(run_cascade(parse_config_text(sys.stdin.read()), float(sys.argv[1])).table.tolist()))
+"""
+
+
+class TestCaches:
+    """The per-config propagator and the detector weight stacks are cached across calls."""
+
+    def test_caches_neither_leak_nor_mutate(self, base_config, tmp_path):
+        # The same figure, built twice in one process, writes the same bytes.
+        config_path = tmp_path / "short.cfg"
+        config_path.write_text("sweep.mu = 0.04, 0.45\n")
+        for figure in ("fig3", "figS1"):
+            outs = [tmp_path / figure / run for run in ("first", "second")]
+            for out in outs:
+                assert main([figure, "--config", str(config_path), "--out", str(out)]) == 0
+            assert (outs[0] / f"{figure}.csv").read_bytes() == (outs[1] / f"{figure}.csv").read_bytes()
+
+        # Two configs one physics key apart, on two sweeps whose largest mu sets
+        # different cutoffs, alternated in one process: each table is the one a
+        # fresh process computes for that config alone.
+        moved = replace(base_config, channel=replace(base_config.channel, transmission=0.6))
+        mu = 0.2
+        configs = [replace(c, mean_photon_sweep=(mu, top)) for top in (0.45, 3.11) for c in (base_config, moved)]
+        assert len({c.fock_space().dim for c in configs}) == 2
+        alternated = [[run_cascade(c, mu).table.tolist() for c in configs] for _ in range(2)]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for i, config in enumerate(configs):
+            fresh = subprocess.run(
+                [sys.executable, "-c", _FRESH_TABLE, repr(mu)],
+                input=serialize_config(config),
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            assert alternated[0][i] == alternated[1][i] == json.loads(fresh.stdout), f"config {i}"
+
+        # No cached array can be written to.
+        cached = [*_propagator(base_config, (1, 2)), *_propagator(base_config, (2,))]
+        cached += [_binomial(5), _click_weights(5, base_config.detector_a)]
+        for array in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0.0
 
 
 def _transfer(kraus):
