@@ -33,9 +33,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import __version__
 from .config import default_config, parse_config, serialize_config
 from .errors import ConfigError, QndsimError
-from .estimators import SINGLE_NODE_MASKS, EstimateTable, cells_from_table, g2_table, quiet_detectors
+from .estimators import EstimateTable, cells_from_table, g2_table, quiet_detectors
 from .estimators import sweep_estimates, sweep_with_nodark
-from .protocol import ExperimentConfig, run_single_each
+from .protocol import ExperimentConfig, mirrored, run_cascade_each
 
 FIGURES = ("fig2", "fig3", "fig4", "table1", "figS1", "sorter")
 
@@ -48,8 +48,9 @@ _FIGURE_CELLS = {
 # (figS1 always carries its own), so the absorbing detectors' dark counts can be
 # told apart from the nodes' own. Monte Carlo reads both from the same trials.
 _NODARK_FIGURES = ("fig3", "fig4")
-# The Monte Carlo oracle samples the full cascade; the single-node
-# characterization and the number sorter are reduced pipelines it does not run.
+# The Monte Carlo oracle does not run these. The number sorter is a reduced
+# pipeline; figS1 is the cascade on a mirrored config, which the sampler could
+# run once it has streams of its own for the two mirrored runs.
 _EXACT_ONLY_FIGURES = ("figS1", "sorter")
 # Failing cells that `compare` names in its report.
 _WORST_CELLS = 5
@@ -80,24 +81,25 @@ def _estimate_rows(tables: dict[str, EstimateTable], cells: tuple[str, ...]) -> 
 def _single_node_table(config: ExperimentConfig) -> list[dict[str, float | None]]:
     """figS1 rows: each node alone, with and without the absorbing detectors' dark counts.
 
-    The `_nodark` cells weight the same propagation and split with
-    `quiet_detectors(config)`'s detectors.
+    Node k alone is the cascade on `mirrored(config, k)`, read through its
+    p_up{k} cells. The `_nodark` cells weight the same propagation and split
+    with `quiet_detectors(config)`'s detectors.
     """
     quiet = quiet_detectors(config)
     detectors = [(config.detector_a, config.detector_b), (quiet.detector_a, quiet.detector_b)]
+    mirrors = {node: mirrored(config, node) for node in (1, 2)}
     rows = []
     for mu in config.mean_photon_sweep:
         row: dict[str, float | None] = {"mu": mu}
         nodark = {}
-        for node in (1, 2):
-            dist, quiet_dist = run_single_each(config, node, mu, detectors)
-            cells = cells_from_table(dist.table, tuple(SINGLE_NODE_MASKS), SINGLE_NODE_MASKS)
-            for cell, value in cells.items():
-                column = cell.replace("p_up", f"p_up{node}")
-                row[column] = value
-                row[f"{column}_stderr"] = None if value is None else 0.0
-            quiet_cells = cells_from_table(quiet_dist.table, ("p_up_given_click",), SINGLE_NODE_MASKS)
-            nodark[f"p_up{node}_given_click_nodark"] = quiet_cells["p_up_given_click"]
+        for node, single in mirrors.items():
+            dist, quiet_dist = run_cascade_each(single, mu, detectors)
+            up, up_given_click = f"p_up{node}", f"p_up{node}_given_click"
+            for cell, value in cells_from_table(dist.table, (up, up_given_click)).items():
+                row[cell] = value
+                row[f"{cell}_stderr"] = None if value is None else 0.0
+            quiet_cells = cells_from_table(quiet_dist.table, (up_given_click,))
+            nodark[f"{up_given_click}_nodark"] = quiet_cells[up_given_click]
         rows.append(row | nodark)
     return rows
 

@@ -17,7 +17,6 @@ from .protocol import (
     ExperimentConfig,
     JointDistribution,
     Outcome,
-    SingleOutcome,
     branch_photon_numbers,
     run_cascade,
 )
@@ -65,12 +64,6 @@ _ATOM_MASKS = {
     cell: (event[::4], given[::4])
     for cell, (event, given) in CELL_MASKS.items()
     if all((m.reshape(4, 4) == m[::4, None]).all() for m in (event, given))
-}
-# figS1's cells on one node's (s, da, db) grid.
-_SINGLE = SingleOutcome(*np.indices((2, 2, 2)).reshape(3, 8).astype(bool))
-SINGLE_NODE_MASKS = {
-    "p_up": (_SINGLE.s, np.ones(8, dtype=bool)),
-    "p_up_given_click": (_SINGLE.s, _click(_SINGLE)),
 }
 
 

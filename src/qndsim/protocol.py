@@ -1,32 +1,36 @@
-"""Full two-detector cascade and single-detector characterization pipelines.
+"""The two-node cascade: the exact engine behind every exact figure.
 
 The engine's one output is the readout-resolved photon-number table
-P[s..., n] (branch_photon_numbers): the joint probability of the atomic
-readouts and of n photons before the 50:50 split. Every exact figure reads
-it: the click tables (run_cascade, run_single) split each nonzero row onto
+P[s1, s2, n] (branch_photon_numbers): the joint probability of the two
+atomic readouts and of n photons before the 50:50 split. Every exact figure
+reads it: the click tables (run_cascade_each) split each nonzero row onto
 the two detectors, conditioned_photon_state sums the kept rows, and the g2,
-no-light and atom-only estimators (fig2) read it without a split.
+no-light and atom-only estimators (fig2) read it without a split. A
+single-node characterization run (run_single, figS1) is the same cascade on
+mirrored(config, k), where the other node is an ideal unit-reflectivity
+mirror whose atom reads one outcome with probability 1.
 
 The engine runs on the photon-number-diagonal sector. Every cascade channel
 (loss, reflection, branch distinguishability, the fiber's phase flip,
 dephasing, the qubit rotations) keeps the photon-number difference n - m of a
 coherence, and every measurement (atomic readout, threshold detection) is
 diagonal in photon number, so only the n = m sector reaches an output. The
-state is one 2^k x 2^k block of the k atoms per photon number. Each stage
+state is one 4 x 4 block of the two atoms per photon number. Each stage
 between the two pi/2 pulses keeps or loses every photon independently, with
 weights (a, b) per block, and thinnings compose, so the whole path is one
 thinning per block. Only the input photon numbers depend on mu, so that
-thinning map, the pulses and the atoms' state are built once per (config,
-nodes) and applied to each point's photon numbers. Atomic readout is applied
-before the photon counting; all measurement channels act on disjoint
-subsystems, so this ordering does not affect the joint table. The number
-sorter runs on the same sector.
+thinning map, the pulses and the atoms' state are built once per physics
+(the two nodes, the channel, the detection efficiency and the cutoff) and
+applied to each point's photon numbers. Atomic readout is applied before the
+photon counting; all measurement channels act on disjoint subsystems, so this
+ordering does not affect the joint table. The number sorter runs on the same
+sector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -231,44 +235,40 @@ def _thin(numbers: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _thinning(a, b, len(numbers)) @ numbers
 
 
-# A CLI run reads at most four: a config and its quiet_detectors() twin, for
-# the cascade's nodes or for each single node.
+# Node 1's and node 2's atom bit in each of the cascade's four atom basis states.
+_BITS = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+
+
+# Keyed on what the propagation reads, so a config and its quiet_detectors()
+# twin share one entry; a CLI run reads at most two, the cascade's or figS1's
+# two mirrored cascades.
 @lru_cache(maxsize=8)
-def _propagator(config: ExperimentConfig, nodes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def _propagator(
+    node1: NodeConfig, node2: NodeConfig, channel: ChannelParams, detection: float, dim: int
+) -> tuple[np.ndarray, ...]:
     """The mu-independent part of _propagate, as read-only (thinning, pulse, atoms).
 
     thinning[X, Y, m, n] maps the input photon numbers n to the weights of
     block (X, Y), with both fiber paths and the detection loss composed in;
     pulse is the kron of the final pi/2 pulses and atoms the atoms' rho',
-    dephased between the pulses. Only the listed nodes take part, one atom
-    each in the listed order; a missing node acts as a unit-reflectivity
-    mirror, so (1,) or (2,) is the single-node characterization run and the
-    fiber and detection losses stay where they are. The fiber's phase flip is
-    the identity on the sector and drops out.
+    dephased between the pulses. The fiber's phase flip is the identity on
+    the sector and drops out.
     """
-    k = len(nodes)
-    imps = [config.node(j).imperfections for j in nodes]
+    imps = [node1.imperfections, node2.imperfections]
 
-    def reflection(node: int, pair: ReflectionPair, contrast: float = 1.0) -> tuple:
-        bit = (np.arange(2**k) >> (k - 1 - nodes.index(node))) & 1
-        return tuple(w[bit[:, None], bit[None, :]] for w in _reflection_weights(pair, contrast))
+    def reflection(bit: np.ndarray, pair: ReflectionPair, contrast: float = 1.0) -> tuple:
+        return tuple(w[np.ix_(bit, bit)] for w in _reflection_weights(pair, contrast))
 
-    n1, n2 = config.node1, config.node2
-    fiber, detection = config.channel.transmission, config.detection_efficiency
-    path = (fiber, 1.0 - fiber)
-    if 1 in nodes:
-        path = _compose(reflection(1, n1.pair(), n1.imperfections.reflection_contrast), path)
-    paths = [(1.0, path)]
-    if 2 in nodes:
-        # With probability q the pulse's polarization has scrambled in the
-        # fiber (collectively, per pulse): that component reflects off the bare
-        # resonator on both branches and no longer drives the downstream atom.
-        q = config.channel.scramble_probability
-        coupled = reflection(2, n2.pair(), n2.imperfections.reflection_contrast)
-        scrambled = reflection(2, n2.empty_pair())
-        paths = [(1.0 - q, _compose(path, coupled)), (q, _compose(path, scrambled))]
+    path = (channel.transmission, 1.0 - channel.transmission)
+    path = _compose(reflection(_BITS[0], node1.pair(), node1.imperfections.reflection_contrast), path)
+    # With probability q the pulse's polarization has scrambled in the fiber
+    # (collectively, per pulse): that component reflects off the bare resonator
+    # on both branches and no longer drives the downstream atom.
+    q = channel.scramble_probability
+    coupled = reflection(_BITS[1], node2.pair(), node2.imperfections.reflection_contrast)
+    scrambled = reflection(_BITS[1], node2.empty_pair())
+    paths = [(1.0 - q, _compose(path, coupled)), (q, _compose(path, scrambled))]
 
-    dim = config.fock_space().dim
     thinning = sum(w * _thinning(*_compose(p, (detection, 1.0 - detection)), dim) for w, p in paths)
     pulses = [rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation()) for imp in imps]
     pulse = reduce(np.kron, pulses)
@@ -281,19 +281,20 @@ def _propagator(config: ExperimentConfig, nodes: tuple[int, ...]) -> tuple[np.nd
     return thinning, pulse, atoms
 
 
-def _propagate(
-    config: ExperimentConfig, mean_photon: float, nodes: Sequence[int] = (1, 2)
-) -> np.ndarray:
+def _propagate(config: ExperimentConfig, mean_photon: float) -> np.ndarray:
     """Number-diagonal blocks S[n] of the state after the final pi/2 pulses.
 
-    The state is a (dim, 2^k, 2^k) stack of the k atoms' blocks, one per
-    photon number (see the module docstring). Block (X, Y) is the first
-    pulses' atom block rho'_XY times the input photon numbers thinned by the
-    composed weights of every stage up to the detectors: _propagator's map,
-    built once per (config, nodes) and applied here to this point's input.
-    Only the final stack is formed, and it is validated.
+    The state is a (dim, 4, 4) stack of the two atoms' blocks, one per photon
+    number (see the module docstring). Block (X, Y) is the first pulses' atom
+    block rho'_XY times the input photon numbers thinned by the composed
+    weights of every stage up to the detectors: _propagator's map, built once
+    per physics and applied here to this point's input. Only the final stack
+    is formed, and it is validated.
     """
-    thinning, pulse, atoms = _propagator(config, tuple(nodes))
+    dim = config.fock_space().dim
+    thinning, pulse, atoms = _propagator(
+        config.node1, config.node2, config.channel, config.detection_efficiency, dim
+    )
     weights = thinning @ config.input_numbers(mean_photon)
     blocks = pulse @ (np.moveaxis(weights, -1, 0) * atoms) @ pulse.conj().T
     _check_blocks(blocks, "propagated state")
@@ -320,74 +321,73 @@ def _read_atom(blocks: np.ndarray, f: float, what: str) -> list[tuple[int, float
     return out
 
 
-def branch_photon_numbers(
-    config: ExperimentConfig, mean_photon: float, nodes: Sequence[int] = (1, 2)
-) -> np.ndarray:
-    """P[bits..., n]: joint probability of the listed nodes' readouts and n photons before the split.
+def branch_photon_numbers(config: ExperimentConfig, mean_photon: float) -> np.ndarray:
+    """P[s1, s2, n]: joint probability of both nodes' readouts and n photons before the split.
 
-    The engine's one output, of shape (2,) * len(nodes) + (dim,); every exact
-    estimator reads it. The atoms are read in order by _read_atom at each
-    node's readout fidelity. A branch whose readout has conditional
-    probability below MIN_PROBABILITY is dropped together with every branch
-    below it, and its row is zero.
+    The engine's one output; every exact estimator reads it. The atoms are
+    read in order by _read_atom at each node's readout fidelity. A branch
+    whose readout has conditional probability below MIN_PROBABILITY is
+    dropped together with every branch below it, and its row is zero.
     """
-    branches = [((), 1.0, _propagate(config, mean_photon, nodes))]
-    for k in nodes:
+    branches = [((), 1.0, _propagate(config, mean_photon))]
+    for k in (1, 2):
         f = config.node(k).imperfections.readout_fidelity
         branches = [
             (bits + (up,), p * p_read, cond)
             for bits, p, blocks in branches
             for up, p_read, cond in _read_atom(blocks, f, f"node {k} readout")
         ]
-    table = np.zeros((2,) * len(nodes) + (config.fock_space().dim,))
+    table = np.zeros((2, 2, config.fock_space().dim))
     for bits, p, blocks in branches:
         table[bits] = p * blocks[:, 0, 0].real
     return table
 
 
-def _click_table(
+def run_cascade_each(
     config: ExperimentConfig,
     mean_photon: float,
-    nodes: Sequence[int],
     detectors: Sequence[tuple[DetectorParams, DetectorParams]],
-) -> np.ndarray:
-    """Tables over (detector pair, one readout bit per listed node..., detector a, detector b).
+) -> list[JointDistribution]:
+    """The (s1, s2, detector a, detector b) table once per (detector a, detector b) pair.
 
-    Each nonzero branch is split once; every (a, b) detector pair weights that split.
+    One propagation, and each nonzero branch is split once; every detector
+    pair weights that split.
     """
-    numbers = branch_photon_numbers(config, mean_photon, nodes)
-    table = np.zeros((len(detectors),) + numbers.shape[:-1] + (2, 2))
+    numbers = branch_photon_numbers(config, mean_photon)
+    tables = np.zeros((len(detectors), 2, 2, 2, 2))
     space = config.fock_space()
-    for bits in np.ndindex(numbers.shape[:-1]):
+    for bits in np.ndindex(2, 2):
         p = numbers[bits].sum()
         if p > 0.0:
             photon = JointState(("ph",), ("m",), (space,), np.diag(numbers[bits] / p))
-            table[(slice(None),) + bits] = p * hbt_split_and_count(photon, "ph", detectors)
-    return table
+            tables[(slice(None),) + bits] = p * hbt_split_and_count(photon, "ph", detectors)
+    return [JointDistribution(("s1", "s2", "da", "db"), table) for table in tables]
 
 
 def run_cascade(config: ExperimentConfig, mean_photon: float) -> JointDistribution:
     """Exact 16-outcome table over (s1, s2, detector a, detector b)."""
-    table = _click_table(config, mean_photon, (1, 2), [(config.detector_a, config.detector_b)])[0]
-    return JointDistribution(("s1", "s2", "da", "db"), table)
+    return run_cascade_each(config, mean_photon, [(config.detector_a, config.detector_b)])[0]
 
 
-def run_single_each(
-    config: ExperimentConfig,
-    node_index: int,
-    mean_photon: float,
-    detectors: Sequence[tuple[DetectorParams, DetectorParams]],
-) -> list[JointDistribution]:
-    """run_single once per (detector a, detector b) pair, from one propagation and one split per branch."""
+def mirrored(config: ExperimentConfig, node_index: int) -> ExperimentConfig:
+    """The config with the node other than node_index replaced by an ideal unit-reflectivity mirror.
+
+    The mirror reflects every photon on both branches (r = 1) and its atom is
+    ideal (default NodeImperfections), so that atom reads one outcome with
+    probability 1 and the other readout row of the cascade is zero: the
+    cascade on this config is node_index's single-node characterization run.
+    """
     if node_index not in (1, 2):
         raise ConfigError(f"node_index must be 1 or 2, got {node_index}")
-    tables = _click_table(config, mean_photon, (node_index,), detectors)
-    return [JointDistribution(("s", "da", "db"), table) for table in tables]
+    other = 3 - node_index
+    mirror = NodeConfig(config.node(other).cqed, reflection_override=(1.0, 1.0))
+    return replace(config, **{f"node{other}": mirror})
 
 
 def run_single(config: ExperimentConfig, node_index: int, mean_photon: float) -> JointDistribution:
-    """Characterization run with the other node replaced by a unit-reflectivity mirror."""
-    return run_single_each(config, node_index, mean_photon, [(config.detector_a, config.detector_b)])[0]
+    """Characterization run: the cascade on mirrored(config, node_index), summed over the mirror's readout."""
+    table = run_cascade(mirrored(config, node_index), mean_photon).table
+    return JointDistribution(("s", "da", "db"), table.sum(axis=2 - node_index))
 
 
 def conditioned_photon_state(

@@ -12,7 +12,6 @@ from qndsim.config import ideal_config
 from qndsim.estimators import (
     CELL_PREDICATES,
     CELLS,
-    SINGLE_NODE_MASKS,
     _ATOM_MASKS,
     cells_from_distribution,
     cells_from_table,
@@ -24,7 +23,15 @@ from qndsim.estimators import (
 )
 from qndsim.fock import FockSpace, coherent_state, fock_state, loss_channel
 from qndsim.node import prepare, rotation_matrix
-from qndsim.protocol import JointDistribution, Outcome, SingleOutcome, run_cascade, run_single_each
+from qndsim.protocol import (
+    JointDistribution,
+    Outcome,
+    SingleOutcome,
+    mirrored,
+    run_cascade,
+    run_cascade_each,
+    run_single,
+)
 
 # The mask evaluator sums in another order than a predicate walk and divides
 # the unconditioned cells by the table's total (1 to rounding): a few float64
@@ -114,30 +121,42 @@ def reference_single_node_cells(dist):
 
 
 class TestSingleNodeCells:
-    """figS1's mask cells against the predicate walks they replace."""
+    """figS1's cells, p_up{k} on the mirrored cascade's outcome grid, against predicate walks over (s, da, db)."""
 
     @staticmethod
-    def assert_matches_reference(dist):
-        cells = cells_from_table(dist.table, ("p_up", "p_up_given_click"), SINGLE_NODE_MASKS)
-        assert_cells_close(cells, reference_single_node_cells(dist))
+    def assert_matches_reference(table, node, dist):
+        """The cascade table's p_up{node} cells against the walks over node's (s, da, db) distribution."""
+        cells = cells_from_table(table, (f"p_up{node}", f"p_up{node}_given_click"))
+        reference = reference_single_node_cells(dist)
+        assert_cells_close({cell.replace(f"p_up{node}", "p_up"): v for cell, v in cells.items()}, reference)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(dist=outcome_tables(SingleOutcome))
     def test_random_tables(self, dist):
-        self.assert_matches_reference(dist)
+        # The table on the mirror's one outcome row, either bit, for either node.
+        for node in (1, 2):
+            for mirror_bit in (0, 1):
+                table = np.zeros((2, 2, 2, 2))
+                table[(slice(None), mirror_bit) if node == 1 else mirror_bit] = dist.table
+                self.assert_matches_reference(table, node, dist)
 
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(config=random_configs())
     def test_random_configs(self, config):
         detectors = [(config.detector_a, config.detector_b)]
+        mu = config.mean_photon_sweep[0]
         for node in (1, 2):
-            self.assert_matches_reference(run_single_each(config, node, config.mean_photon_sweep[0], detectors)[0])
+            table = run_cascade_each(mirrored(config, node), mu, detectors)[0].table
+            self.assert_matches_reference(table, node, run_single(config, node, mu))
 
     def test_no_click(self, perfect_config):
         config = quiet_detectors(replace(perfect_config, mean_photon_sweep=(0.0,)))
-        dist = run_single_each(config, 1, 0.0, [(config.detector_a, config.detector_b)])[0]
-        self.assert_matches_reference(dist)
-        assert cells_from_table(dist.table, ("p_up_given_click",), SINGLE_NODE_MASKS) == {"p_up_given_click": None}
+        detectors = [(config.detector_a, config.detector_b)]
+        for node in (1, 2):
+            table = run_cascade_each(mirrored(config, node), 0.0, detectors)[0].table
+            self.assert_matches_reference(table, node, run_single(config, node, 0.0))
+            cell = f"p_up{node}_given_click"
+            assert cells_from_table(table, (cell,)) == {cell: None}
 
 
 @pytest.fixture
@@ -177,6 +196,11 @@ class TestSplitFreeCells:
     def test_full_sweep_splits_every_branch(self, base_config, split_calls):
         sweep_estimates(replace(base_config, mean_photon_sweep=self.SWEEP))
         assert len(split_calls) == 4 * len(self.SWEEP)
+
+    def test_figS1_splits_two_branches_per_point_and_node(self, base_config, split_calls):
+        # Each node's readout keeps two branches; the mirror's keeps one.
+        cli.build_figure("figS1", base_config)
+        assert len(split_calls) == 2 * 2 * len(base_config.mean_photon_sweep)
 
     def test_a_click_cell_keeps_the_split(self, base_config, split_calls):
         table = sweep_estimates(replace(base_config, mean_photon_sweep=self.SWEEP), ("p_up1", "p_up1_given_click"))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from dataclasses import replace
 from functools import reduce
+from importlib import util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from hypothesis import given, settings
 
 from conftest import conditional, random_configs
 from qndsim.channel import ChannelParams, detection_path, fiber_channel
-from qndsim.cli import main
-from qndsim.config import ideal_config, serialize_config
+from qndsim.cli import build_figure, main
+from qndsim.config import ideal_config, parse_config_text, serialize_config
 from qndsim.detectors import _click_weights, hbt_split_and_count
 from qndsim.errors import ConfigError, ZeroProbabilityError
 from qndsim.estimators import G2_CONDITIONS, cells_from_distribution, g2_from_numbers, g2_table, snr
+from qndsim.estimators import quiet_detectors
 from qndsim.fock import JointState, coherent_state, fock_state, loss_channel
 from qndsim.node import (
     CqedParams,
@@ -42,10 +45,13 @@ from qndsim.protocol import (
     _thin,
     branch_photon_numbers,
     conditioned_photon_state,
+    mirrored,
     run_cascade,
     run_single,
 )
 from qndsim.sorter import SorterConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # The dense cascade pipeline the photon-number sector engine replaced, kept as
@@ -176,6 +182,53 @@ def reference_photon_numbers(config, mu, nodes=(1, 2)):
     return table
 
 
+def single_node_clicks(config, mu, node):
+    """P[s, da, db] of one node alone, as run_single and as the mirrored cascade summed by hand."""
+    summed = run_cascade(mirrored(config, node), mu).table.sum(axis=2 - node)
+    return run_single(config, node, mu).table, summed
+
+
+def engine_numbers(config, mu, nodes):
+    """The engine's P[bits..., n] for the cascade (1, 2) or for one node alone, (1,) or (2,).
+
+    One node alone is the mirrored cascade's table summed over the mirror's readout.
+    """
+    if nodes == (1, 2):
+        return branch_photon_numbers(config, mu)
+    (node,) = nodes
+    return branch_photon_numbers(mirrored(config, node), mu).sum(axis=2 - node)
+
+
+def engine_clicks(config, mu, nodes):
+    """The engine's click tables for the cascade (1, 2) or for one node alone, (1,) or (2,)."""
+    return [run_cascade(config, mu).table] if nodes == (1, 2) else single_node_clicks(config, mu, *nodes)
+
+
+def split_rows(config, numbers):
+    """Click table over (bits..., da, db): each nonzero row of P[bits..., n] split onto the detectors."""
+    table = np.zeros(numbers.shape[:-1] + (2, 2))
+    for bits in np.ndindex(numbers.shape[:-1]):
+        p = numbers[bits].sum()
+        if p > 0.0:
+            photon = JointState(("ph",), ("m",), (config.fock_space(),), np.diag(numbers[bits] / p))
+            table[bits] = p * hbt_split_and_count(photon, "ph", [(config.detector_a, config.detector_b)])[0]
+    return table
+
+
+def propagator_of(config):
+    """_propagator's cached entry for a config's physics and cutoff."""
+    dim = config.fock_space().dim
+    return _propagator(config.node1, config.node2, config.channel, config.detection_efficiency, dim)
+
+
+def seed1_random_configs():
+    """The benchmark's seed-1 random configs (perfbench/configs.py), parsed."""
+    spec = util.spec_from_file_location("perfbench_configs", ROOT / "perfbench" / "configs.py")
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [parse_config_text(text) for text in module.generate(1)]
+
+
 def _loss_only_fiber(state, mode, params):
     return loss_channel(state, mode, params.transmission)
 
@@ -261,6 +314,27 @@ class TestRunSingle:
     def test_invalid_index(self, base_config):
         with pytest.raises(ConfigError):
             run_single(base_config, 3, 0.1)
+        with pytest.raises(ConfigError, match="node_index must be 1 or 2, got 0"):
+            mirrored(base_config, 0)
+
+    @pytest.mark.parametrize("case", ["default", "ideal", "random_seed1", "fock2", "fock24"])
+    def test_mirror_reads_one_outcome(self, base_config, perfect_config, case):
+        # The ideal mirror's atom reads 'down' with probability 1: its 'up'
+        # row is dropped, exactly zero, so each single-node point splits two
+        # branches, as the node's own readout has two.
+        configs = {
+            "default": [base_config],
+            "ideal": [perfect_config],
+            "fock2": [replace(base_config, input_kind="fock", fock_n=2)],
+            "fock24": [replace(base_config, input_kind="fock", fock_n=24)],
+        }.get(case) or seed1_random_configs()
+        for config in configs:
+            for node in (1, 2):
+                single = mirrored(config, node)
+                for mu in config.mean_photon_sweep:
+                    numbers = branch_photon_numbers(single, mu)
+                    mirror_up = numbers[:, 1] if node == 1 else numbers[1]
+                    assert not mirror_up.any(), (node, mu)
 
     @staticmethod
     def _assert_matches_cascade_with_mirror(config, mu):
@@ -334,10 +408,12 @@ class TestSectorMatchesDense:
 
     @staticmethod
     def _assert_matches(config, mu):
+        # One node alone is the cascade on mirrored(config, k), summed over the
+        # mirror's readout; the dense reference leaves the other node out.
         for nodes in ((1, 2), (1,), (2,)):
             branches, numbers, clicks = dense_tables(config, mu, nodes)
             dense = {bits: (p, np.real(np.diagonal(cond.matrix))) for bits, p, cond in branches}
-            table = branch_photon_numbers(config, mu, nodes)
+            table = engine_numbers(config, mu, nodes)
             sector = {
                 bits: (table[bits].sum(), table[bits] / table[bits].sum())
                 for bits in np.ndindex(table.shape[:-1])
@@ -348,11 +424,8 @@ class TestSectorMatchesDense:
                 assert sector[bits][0] == pytest.approx(p, abs=1e-12, rel=0)
                 np.testing.assert_allclose(sector[bits][1], n, rtol=0, atol=1e-12)
             np.testing.assert_allclose(table, numbers, rtol=0, atol=1e-12, err_msg=f"nodes {nodes}")
-            if nodes == (1, 2):
-                got = run_cascade(config, mu).table
-            else:
-                got = run_single(config, nodes[0], mu).table
-            np.testing.assert_allclose(got, clicks, rtol=0, atol=1e-12, err_msg=f"nodes {nodes}")
+            for got in engine_clicks(config, mu, nodes):
+                np.testing.assert_allclose(got, clicks, rtol=0, atol=1e-12, err_msg=f"nodes {nodes}")
 
     @pytest.mark.parametrize("mu", [0.0, 0.084, 0.45, 3.11])
     def test_coherent_input(self, base_config, perfect_config, mu):
@@ -375,15 +448,18 @@ class TestPropagatorMatchesPerPoint:
 
     @staticmethod
     def _assert_matches(config, mus):
+        # One node alone is the cascade on mirrored(config, k), summed over the
+        # mirror's readout; the per-point reference leaves the other node out.
         for nodes in ((1, 2), (1,), (2,)):
             for mu in mus:
-                np.testing.assert_allclose(
-                    branch_photon_numbers(config, mu, nodes),
-                    reference_photon_numbers(config, mu, nodes),
-                    rtol=0,
-                    atol=1e-14,
-                    err_msg=f"nodes {nodes}, mu {mu}",
-                )
+                expected = reference_photon_numbers(config, mu, nodes)
+                where = f"nodes {nodes}, mu {mu}"
+                got = engine_numbers(config, mu, nodes)
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14, err_msg=where)
+                if nodes != (1, 2):
+                    clicks = split_rows(config, expected)
+                    for got in single_node_clicks(config, mu, *nodes):
+                        np.testing.assert_allclose(got, clicks, rtol=0, atol=1e-14, err_msg=where)
 
     @pytest.mark.parametrize("delta_c", [None, 0.5, 7.0])
     def test_default_and_detuned(self, base_config, delta_c):
@@ -451,9 +527,20 @@ class TestCaches:
             assert alternated[0][i] == alternated[1][i] == json.loads(fresh.stdout), f"config {i}"
 
         # No cached array can be written to.
-        cached = [*_propagator(base_config, (1, 2)), *_propagator(base_config, (2,))]
+        cached = [*propagator_of(base_config), *propagator_of(mirrored(base_config, 2))]
         cached += [_binomial(5), _click_weights(5, base_config.detector_a)]
         for array in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0.0
+
+    def test_quiet_twin_shares_the_propagator(self, base_config):
+        # The propagation reads no dark rate, so fig3's two sweeps, on the
+        # config and on its quiet_detectors() twin, build one map.
+        _propagator.cache_clear()
+        build_figure("fig3", base_config)
+        assert _propagator.cache_info().currsize == 1
+        assert propagator_of(quiet_detectors(base_config)) is propagator_of(base_config)
+        for array in propagator_of(base_config):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0.0
 
