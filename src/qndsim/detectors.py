@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -42,13 +41,10 @@ def no_click_weights(dim: int, params: DetectorParams) -> np.ndarray:
     return (1.0 - params.p_dark) * (1.0 - params.efficiency) ** n
 
 
-@lru_cache(maxsize=64)
 def _click_weights(dim: int, params: DetectorParams) -> np.ndarray:
-    """Read-only (2, dim) stack of one detector's weights: row 0 'no click', row 1 'click'."""
+    """(2, dim) stack of one detector's weights: row 0 'no click', row 1 'click'."""
     no = no_click_weights(dim, params)
-    stack = np.stack([no, 1.0 - no])
-    stack.flags.writeable = False
-    return stack
+    return np.stack([no, 1.0 - no])
 
 
 def hbt_split_and_count(

@@ -41,8 +41,6 @@ MIN_PROBABILITY = 1e-12
 _POSITIVITY_DIM_LIMIT = 128
 
 
-# Bounded: a long-lived caller may ask for many mean photon numbers.
-@lru_cache(maxsize=1024)
 def _poisson_sf(n: int, mean_photon: float) -> float:
     """P(N > n) for N ~ Poisson(mean_photon), summed over the tail in log space.
 
@@ -119,8 +117,7 @@ def _check_blocks(blocks: np.ndarray, what: str) -> None:
     tr = blocks.trace(axis1=1, axis2=2).real.sum()
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{what}: trace {tr!r} differs from 1 beyond {TRACE_TOL}")
-    # eigvalsh returns a 1 x 1 block's real part, so those blocks skip the call.
-    lo = float((blocks.real if blocks.shape[1] == 1 else np.linalg.eigvalsh(blocks)).min())
+    lo = float(np.linalg.eigvalsh(blocks).min())
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"{what}: negative eigenvalue {lo:.3e} below floor")
 
@@ -160,8 +157,10 @@ class FockSpace:
                 f"{TRUNCATION_TAIL_TOL} at n_max={self.n_max}; requires n_max={needed}"
             )
 
+    # Every point's config asks for the cutoff of its sweep (fock_space),
+    # about 350 to 760 calls per benchmark pass, each up to 24 tail sums.
     @staticmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=256)
     def required_cutoff(mean_photon: float) -> int:
         if mean_photon == 0.0:
             return 1
@@ -334,11 +333,8 @@ def _apply_channel(
     """
     k, dim = len(dims), math.prod(dims)
     targets = list(targets)
-    # Targets that are every subsystem in order need no permutation.
-    permuted = targets != list(range(k))
-    if permuted:
-        perm = targets + [i for i in range(k) if i not in targets]
-        matrix = np.transpose(matrix.reshape(tuple(dims) * 2), axes=[*perm, *[k + p for p in perm]])
+    perm = targets + [i for i in range(k) if i not in targets]
+    matrix = np.transpose(matrix.reshape(tuple(dims) * 2), axes=[*perm, *[k + p for p in perm]])
     dt = math.prod(dims[i] for i in targets)
     dr = dim // dt
     t = np.ascontiguousarray(matrix).reshape(dt, dr, dt, dr)
@@ -384,10 +380,9 @@ def _apply_channel(
         right = kraus.conj().transpose(0, 2, 1).reshape(nk * ns, ni)
         every = np.arange(dr)
         out[np.ix_(image, every, image, every)] = (m @ right).reshape(ni, dr, dr, ni).transpose(0, 1, 3, 2)
-    if permuted:
-        out = out.reshape([dims[i] for i in perm] * 2)
-        inv = list(np.argsort(perm))
-        out = np.ascontiguousarray(np.transpose(out, axes=[*inv, *[k + int(p) for p in inv]]))
+    out = out.reshape([dims[i] for i in perm] * 2)
+    inv = list(np.argsort(perm))
+    out = np.ascontiguousarray(np.transpose(out, axes=[*inv, *[k + int(p) for p in inv]]))
     return out.reshape(dim, dim)
 
 
@@ -396,7 +391,6 @@ def apply_channel(state: JointState, kraus_ops: Sequence[np.ndarray], labels: Se
     return state._replace_matrix(_apply_channel(state.matrix, state.dims, kraus_ops, positions))
 
 
-@lru_cache(maxsize=None)
 def _annihilation(dim: int) -> np.ndarray:
     a = np.zeros((dim, dim), dtype=complex)
     n = np.arange(1, dim)
@@ -404,9 +398,13 @@ def _annihilation(dim: int) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
+# Every detector split re-reads it (257 to 478 hits per benchmark pass). Its
+# dense build frees 2 MB temporaries at n_max 18, keeping the split's 2 MB arrays
+# on glibc's resident heap: built block by block, a fig3, fig4 and figS1 build
+# took 2 MB less peak RSS but 100x the minor page faults and twice the CPU.
+@lru_cache(maxsize=32)
 def _beam_splitter_unitary(dim_a: int, dim_b: int, transmissivity: float, phase: float) -> np.ndarray:
-    """Two-mode mixing a -> sqrt(T) a + ... with the reflected port phased by `phase`."""
+    """Read-only two-mode mixing a -> sqrt(T) a + ... with the reflected port phased by `phase`."""
     theta = math.acos(math.sqrt(transmissivity))
     a, b = _annihilation(dim_a), _annihilation(dim_b)
     gen = theta * (
@@ -422,23 +420,21 @@ def _beam_splitter_unitary(dim_a: int, dim_b: int, transmissivity: float, phase:
         block = np.ix_(total == n, total == n)
         w, v = np.linalg.eigh(h[block])
         u[block] = (v * np.exp(1j * w)) @ v.conj().T
-    return u
+    return _freeze(u)
 
 
-@lru_cache(maxsize=None)
 def _reflection_kraus(dim: int, amplitude: complex, loss: float) -> np.ndarray:
     """Loss at 1 - |r|^2 = loss^2 composed with a per-photon phase arg(r), as one stacked Kraus family.
 
     Operator k (the first axis) is the k-photons-lost branch. Zero operators
     are kept so that two families (e.g. the two atomic branches of a
-    reflection) stay aligned on the shared loss ancilla index. The cached
-    array is read-only.
+    reflection) stay aligned on the shared loss ancilla index.
     """
     kraus = np.zeros((dim, dim, dim), dtype=complex)
     for k in range(dim):
         for n in range(k, dim):
             kraus[k, n - k, n] = math.sqrt(math.comb(n, k)) * amplitude ** (n - k) * loss**k
-    return _freeze(kraus)
+    return kraus
 
 
 def beam_splitter(

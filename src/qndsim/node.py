@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, ZeroProbabilityError
-from .fock import JointState, apply_channel, measure_diagonal, _freeze, _reflection_kraus
+from .fock import JointState, apply_channel, measure_diagonal, _reflection_kraus
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,6 @@ def reflect(
     return out
 
 
-@lru_cache(maxsize=None)
 def _branch_reflection_kraus(dim: int, pair: ReflectionPair) -> np.ndarray:
     """Stacked family of reflect() on (qubit, mode): each branch's reflection, block by block.
 
@@ -198,7 +196,7 @@ def _branch_reflection_kraus(dim: int, pair: ReflectionPair) -> np.ndarray:
     kraus = np.zeros((dim, 2 * dim, 2 * dim), dtype=complex)
     kraus[:, :dim, :dim] = _reflection_kraus(dim, complex(pair.r_coupled), pair.s[0])
     kraus[:, dim:, dim:] = _reflection_kraus(dim, complex(pair.r_uncoupled), pair.s[1])
-    return _freeze(kraus[kraus.any(axis=(1, 2))])
+    return kraus[kraus.any(axis=(1, 2))]
 
 
 def branch_distinguishability(
@@ -220,7 +218,6 @@ def branch_distinguishability(
     return apply_channel(state, kraus, [qubit, mode])
 
 
-@lru_cache(maxsize=None)
 def _distinguishability_kraus(dim: int, contrast: float) -> np.ndarray:
     """Stacked family of branch_distinguishability() on (qubit, mode).
 
@@ -236,10 +233,9 @@ def _distinguishability_kraus(dim: int, contrast: float) -> np.ndarray:
             [math.comb(int(m), j) for m in nn]
         ) * contrast ** (nn - j) * ortho ** (j / 2.0)
     kraus[0, dim:, dim:] = np.eye(dim)
-    return _freeze(kraus[kraus.any(axis=(1, 2))])
+    return kraus[kraus.any(axis=(1, 2))]
 
 
-@lru_cache(maxsize=None)
 def rotation_matrix(azimuth: float, theta: float) -> np.ndarray:
     """Rotation by theta about the equatorial Bloch axis at the given azimuth.
 
@@ -250,9 +246,7 @@ def rotation_matrix(azimuth: float, theta: float) -> np.ndarray:
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     axis = math.cos(azimuth) * sx + math.sin(azimuth) * sy
-    u = math.cos(theta / 2.0) * np.eye(2, dtype=complex) - 1j * math.sin(theta / 2.0) * axis
-    u.flags.writeable = False
-    return u
+    return math.cos(theta / 2.0) * np.eye(2, dtype=complex) - 1j * math.sin(theta / 2.0) * axis
 
 
 _AXIS_AZIMUTH = {"x": 0.0, "y": math.pi / 2.0}

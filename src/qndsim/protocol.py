@@ -121,6 +121,8 @@ class ExperimentConfig:
 
     def node(self, index: int) -> NodeConfig:
         """Node 1 (upstream of the fiber) or node 2 (downstream)."""
+        if index not in (1, 2):
+            raise ConfigError(f"node index must be 1 or 2, got {index}")
         return self.node1 if index == 1 else self.node2
 
     def fock_space(self) -> FockSpace:
@@ -211,14 +213,6 @@ def _compose(first: tuple, then: tuple) -> tuple:
     return a1 * a2, b1 + a1 * b2
 
 
-@lru_cache(maxsize=None)
-def _binomial(dim: int) -> np.ndarray:
-    """C(n, m) at [m, n] for m, n < dim, as a read-only array cached per dimension."""
-    table = np.array([[math.comb(n, m) for n in range(dim)] for m in range(dim)])
-    table.flags.writeable = False
-    return table
-
-
 def _thinning(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     """M[..., m, n] = C(n, m) a^m b^(n - m): per-photon weights (a, b) as a map on photon numbers.
 
@@ -227,7 +221,8 @@ def _thinning(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     """
     n = np.arange(dim)
     lost = np.asarray(b)[..., None, None] ** np.maximum(n - n[:, None], 0)
-    return np.asarray(a)[..., None, None] ** n[:, None] * (lost * _binomial(dim))
+    binomial = np.array([[math.comb(k, m) for k in range(dim)] for m in range(dim)])  # C(n, m) at [m, n]
+    return np.asarray(a)[..., None, None] ** n[:, None] * (lost * binomial)
 
 
 def _thin(numbers: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,9 +234,9 @@ def _thin(numbers: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _BITS = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
 
 
-# Keyed on what the propagation reads, so a config and its quiet_detectors()
-# twin share one entry; a CLI run reads at most two, the cascade's or figS1's
-# two mirrored cascades.
+# Every sweep point reads it (86 to 196 hits per benchmark pass). Keyed on what
+# the propagation reads, so a config and its quiet_detectors() twin share one
+# entry; a CLI run reads at most two, the cascade's or figS1's mirrored pair.
 @lru_cache(maxsize=8)
 def _propagator(
     node1: NodeConfig, node2: NodeConfig, channel: ChannelParams, detection: float, dim: int

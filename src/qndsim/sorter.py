@@ -101,15 +101,21 @@ class SorterConfig:
             if seq is not None and len(seq) != self.k:
                 raise ConfigError(f"{name} must list one entry per node (k={self.k})")
 
+    def _position(self, node_index: int) -> int:
+        """Position j - 1 of node j (1-based) in the per-node tuples."""
+        if not 1 <= node_index <= self.k:
+            raise ConfigError(f"node index must be in 1..{self.k}, got {node_index}")
+        return node_index - 1
+
     def phase(self, node_index: int) -> float:
         """Per-photon phase of node j (1-based): pi / 2^(j-1)."""
-        return math.pi / 2.0 ** (node_index - 1)
+        return math.pi / 2.0 ** self._position(node_index)
 
     def gate_pair(self, node_index: int) -> ReflectionPair:
         """Gate of node j, a reflection (|r_c|, |r_u| e^{i theta_j}); lossless without node_params."""
         r_c, r_u, s = 1.0, 1.0, (0.0, 0.0)
         if self.node_params is not None:
-            pair = reflection_pair(self.node_params[node_index - 1])
+            pair = reflection_pair(self.node_params[self._position(node_index)])
             r_c, r_u, s = abs(pair.r_coupled), abs(pair.r_uncoupled), pair.s
         return ReflectionPair(complex(r_c), complex(r_u * np.exp(1j * self.phase(node_index))), s)
 
@@ -127,9 +133,8 @@ class SorterConfig:
         return amp * amp
 
     def node_imperfections(self, node_index: int) -> NodeImperfections:
-        if self.imperfections is None:
-            return NodeImperfections()
-        return self.imperfections[node_index - 1]
+        j = self._position(node_index)
+        return NodeImperfections() if self.imperfections is None else self.imperfections[j]
 
 
 # The configuration `qndsim sorter` runs; the experiment config does not reach

@@ -464,6 +464,48 @@ class TestCliMain:
         assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
+class TestImportBudget:
+    """A CLI run imports only the engine it runs: every child compiles what it imports."""
+
+    @staticmethod
+    def modules_after(runs, tmp_path):
+        """Modules a fresh interpreter holds after importing numpy alone, then after main(args) for each run."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import json, sys\n"
+            "import numpy\n"
+            "bare = sorted(sys.modules)\n"
+            "from qndsim.cli import main\n"
+            f"for i, args in enumerate({runs!r}):\n"
+            f"    assert main([*args, '--out', {str(tmp_path)!r} + f'/{{i}}']) == 0, args\n"
+            "print(json.dumps([bare, sorted(sys.modules)]))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.setdefault("OPENBLAS_NUM_THREADS", "1")  # numpy loads before the CLI could set it
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        bare, loaded = json.loads(out.stdout.strip().splitlines()[-1])
+        return set(bare), set(loaded)
+
+    def test_exact_runs_load_neither_sampler_nor_sorter(self, tmp_path):
+        figures = [f for f in FIGURES if f != "sorter"]
+        bare, loaded = self.modules_after([[f] for f in figures], tmp_path)
+        # numpy.random is a cost only where numpy itself does not import it.
+        banned = {"qndsim.montecarlo", "qndsim.sorter"} | ({"numpy.random"} - bare)
+        assert not loaded & banned
+
+    def test_monte_carlo_runs_do_not_load_the_sorter(self, tmp_path):
+        figures = [f for f in FIGURES if f not in ("figS1", "sorter")]
+        runs = [[f, "--mode", "mc", "--trials", "2000"] for f in figures]
+        _, loaded = self.modules_after(runs, tmp_path)
+        assert "qndsim.montecarlo" in loaded
+        assert "qndsim.sorter" not in loaded
+
+
 class TestBlasThreads:
     """The CLI runs numpy's BLAS on one thread unless the caller chose a count; the library leaves it alone."""
 

@@ -578,6 +578,14 @@ class TestNumpyKernelsAgainstReferences:
         u = _beam_splitter_unitary(dim_a, dim_b, transmissivity, phase)
         assert np.max(np.abs(u - expm(gen))) < 1e-12
 
+    def test_cached_beam_splitter_unitary_is_read_only(self):
+        # Every split of a cutoff shares one cached array: writing to it
+        # would corrupt every later split.
+        u = _beam_splitter_unitary(4, 4, 0.5, 0.0)
+        assert u is _beam_splitter_unitary(4, 4, 0.5, 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0.0
+
     def test_stacked_kraus_matches_per_kraus_loop(self):
         rng = np.random.default_rng(2024)
         for case in range(40):

@@ -16,11 +16,11 @@ from conftest import conditional, random_configs
 from qndsim.channel import ChannelParams, detection_path, fiber_channel
 from qndsim.cli import build_figure, main
 from qndsim.config import ideal_config, parse_config_text, serialize_config
-from qndsim.detectors import _click_weights, hbt_split_and_count
+from qndsim.detectors import hbt_split_and_count
 from qndsim.errors import ConfigError, ZeroProbabilityError
 from qndsim.estimators import G2_CONDITIONS, cells_from_distribution, g2_from_numbers, g2_table, snr
 from qndsim.estimators import quiet_detectors
-from qndsim.fock import JointState, coherent_state, fock_state, loss_channel
+from qndsim.fock import JointState, _beam_splitter_unitary, coherent_state, fock_state, loss_channel
 from qndsim.node import (
     CqedParams,
     ReflectionPair,
@@ -37,7 +37,6 @@ from qndsim.node import (
 from qndsim.protocol import (
     HALF_PI,
     JointDistribution,
-    _binomial,
     _compose,
     _propagator,
     _read_atom,
@@ -317,6 +316,11 @@ class TestRunSingle:
         with pytest.raises(ConfigError, match="node_index must be 1 or 2, got 0"):
             mirrored(base_config, 0)
 
+    @pytest.mark.parametrize("index", [0, 3, -1])
+    def test_node_accessor_rejects_other_indices(self, base_config, index):
+        with pytest.raises(ConfigError, match=f"node index must be 1 or 2, got {index}"):
+            base_config.node(index)
+
     @pytest.mark.parametrize("case", ["default", "ideal", "random_seed1", "fock2", "fock24"])
     def test_mirror_reads_one_outcome(self, base_config, perfect_config, case):
         # The ideal mirror's atom reads 'down' with probability 1: its 'up'
@@ -492,7 +496,7 @@ print(json.dumps(run_cascade(parse_config_text(sys.stdin.read()), float(sys.argv
 
 
 class TestCaches:
-    """The per-config propagator and the detector weight stacks are cached across calls."""
+    """The per-physics propagator and the split's unitary are cached across calls."""
 
     def test_caches_neither_leak_nor_mutate(self, base_config, tmp_path):
         # The same figure, built twice in one process, writes the same bytes.
@@ -528,7 +532,7 @@ class TestCaches:
 
         # No cached array can be written to.
         cached = [*propagator_of(base_config), *propagator_of(mirrored(base_config, 2))]
-        cached += [_binomial(5), _click_weights(5, base_config.detector_a)]
+        cached.append(_beam_splitter_unitary(5, 5, 0.5, 0.0))
         for array in cached:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0.0

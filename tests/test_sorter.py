@@ -283,6 +283,13 @@ class TestRunSorter:
         with pytest.raises(ConfigError):
             SorterConfig(**fields)
 
+    @pytest.mark.parametrize("accessor", ["phase", "gate_pair", "node_imperfections"])
+    @pytest.mark.parametrize("index", [0, 3, -1])
+    def test_node_accessors_reject_indices_outside_1_to_k(self, accessor, index):
+        config = SorterConfig(k=2, imperfections=(NodeImperfections(), NodeImperfections()))
+        with pytest.raises(ConfigError, match=f"node index must be in 1..2, got {index}"):
+            getattr(config, accessor)(index)
+
 
 class TestConfusionMatrix:
     def test_ideal_k2_identity(self):
