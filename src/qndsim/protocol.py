@@ -15,23 +15,25 @@ The engine runs on the photon-number-diagonal sector. Every cascade channel
 dephasing, the qubit rotations) keeps the photon-number difference n - m of a
 coherence, and every measurement (atomic readout, threshold detection) is
 diagonal in photon number, so only the n = m sector reaches an output. The
-state is one 4 x 4 block of the two atoms per photon number. Each stage
-between the two pi/2 pulses keeps or loses every photon independently, with
-weights (a, b) per block, and thinnings compose, so the whole path is one
-thinning per block. Only the input photon numbers depend on mu, so that
-thinning map, the pulses and the atoms' state are built once per physics
-(the two nodes, the channel, the detection efficiency and the cutoff) and
-applied to each point's photon numbers. Atomic readout is applied before the
-photon counting; all measurement channels act on disjoint subsystems, so this
-ordering does not affect the joint table. The number sorter runs on the same
-sector.
+cascade is two runs of one node step (_node_step): the photon numbers that
+reach a node are thinned by the node's per-photon weights (a, b), one pair
+per block of its atom's 2 x 2 state rho', and after the final pulse the atom
+is read; each readout outcome leaves a probability and the photon numbers
+that go on to the next node. Thinnings compose, so node 2's map holds the
+fiber, its own reflection and the detection loss. Node 1 is read before
+node 2's stages act and both atoms before the photon counting; each later
+stage acts on other subsystems and every step is linear, so this ordering
+does not affect the joint table. Only the input photon numbers depend on mu,
+so the node maps, pulses and rho' are built once per physics (the two nodes,
+the channel, the detection efficiency and the cutoff). The number sorter
+runs k of the same steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -225,116 +227,97 @@ def _thinning(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(a)[..., None, None] ** n[:, None] * (lost * binomial)
 
 
-def _thin(numbers: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W[..., m] = sum_n p_n C(n, m) a^m b^(n - m): the thinning map applied to p_n."""
-    return _thinning(a, b, len(numbers)) @ numbers
+def _node_atom(imp: NodeImperfections) -> tuple[np.ndarray, np.ndarray]:
+    """A node's pi/2 pulse and its atom's rho': prepared, pulsed and dephased between the pulses.
+
+    Dephasing acts on the atom alone, so it commutes with the thinning and is folded into rho'.
+    """
+    pulse = rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation())
+    v = imp.visibility()
+    return pulse, pulse @ prepare(imp.prep_fidelity) @ pulse.conj().T * np.array([[1.0, v], [v, 1.0]])
 
 
-# Node 1's and node 2's atom bit in each of the cascade's four atom basis states.
-_BITS = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+def _node_step(
+    numbers: np.ndarray,
+    thinning: np.ndarray,
+    atom: np.ndarray,
+    pulse: np.ndarray,
+    fidelity: float,
+    what: str,
+) -> list[tuple[int, float, np.ndarray]]:
+    """(bit, probability, conditional photon numbers) per readout of one node reached by p_n.
+
+    Block (x, y) of the atom is rho'_xy times p_n thinned by the node's map
+    thinning[x, y]; after the final pulse the (dim, 2, 2) stack is checked as
+    `what`. The atom is read with symmetric misassignment at the readout
+    fidelity; bit 1 means 'up'. An outcome below MIN_PROBABILITY is dropped;
+    the photon numbers of the others, the normalized weighted diagonal, are
+    checked as `what` readout.
+    """
+    blocks = pulse @ (np.moveaxis(thinning @ numbers, -1, 0) * atom) @ pulse.conj().T
+    _check_blocks(blocks, what)
+    out = []
+    # Weights on the qubit's up (index 0) and down states.
+    for up, (w0, w1) in ((0, (1.0 - fidelity, fidelity)), (1, (fidelity, 1.0 - fidelity))):
+        reduced = w0 * blocks[:, 0, 0] + w1 * blocks[:, 1, 1]
+        p_read = float(reduced.real.sum())
+        if p_read >= MIN_PROBABILITY:
+            cond = reduced / p_read
+            _check_blocks(cond[:, None, None], f"{what} readout")
+            out.append((up, p_read, cond.real))
+    return out
 
 
 # Every sweep point reads it (86 to 196 hits per benchmark pass). Keyed on what
 # the propagation reads, so a config and its quiet_detectors() twin share one
 # entry; a CLI run reads at most two, the cascade's or figS1's mirrored pair.
 @lru_cache(maxsize=8)
-def _propagator(
+def _cascade_nodes(
     node1: NodeConfig, node2: NodeConfig, channel: ChannelParams, detection: float, dim: int
-) -> tuple[np.ndarray, ...]:
-    """The mu-independent part of _propagate, as read-only (thinning, pulse, atoms).
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Each node's read-only (thinning, atom, pulse), the mu-independent part of a node step.
 
-    thinning[X, Y, m, n] maps the input photon numbers n to the weights of
-    block (X, Y), with both fiber paths and the detection loss composed in;
-    pulse is the kron of the final pi/2 pulses and atoms the atoms' rho',
-    dephased between the pulses. The fiber's phase flip is the identity on
-    the sector and drops out.
+    Node 1's map is its reflection. Node 2's composes the fiber, its own
+    reflection and the detection loss, so its readout's photon numbers are
+    those before the split. The fiber's phase flip is the identity on the
+    sector and drops out.
     """
-    imps = [node1.imperfections, node2.imperfections]
-
-    def reflection(bit: np.ndarray, pair: ReflectionPair, contrast: float = 1.0) -> tuple:
-        return tuple(w[np.ix_(bit, bit)] for w in _reflection_weights(pair, contrast))
-
-    path = (channel.transmission, 1.0 - channel.transmission)
-    path = _compose(reflection(_BITS[0], node1.pair(), node1.imperfections.reflection_contrast), path)
+    first = _reflection_weights(node1.pair(), node1.imperfections.reflection_contrast)
+    fiber = (channel.transmission, 1.0 - channel.transmission)
+    detected = (detection, 1.0 - detection)
     # With probability q the pulse's polarization has scrambled in the fiber
     # (collectively, per pulse): that component reflects off the bare resonator
     # on both branches and no longer drives the downstream atom.
     q = channel.scramble_probability
-    coupled = reflection(_BITS[1], node2.pair(), node2.imperfections.reflection_contrast)
-    scrambled = reflection(_BITS[1], node2.empty_pair())
-    paths = [(1.0 - q, _compose(path, coupled)), (q, _compose(path, scrambled))]
-
-    thinning = sum(w * _thinning(*_compose(p, (detection, 1.0 - detection)), dim) for w, p in paths)
-    pulses = [rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation()) for imp in imps]
-    pulse = reduce(np.kron, pulses)
-    visibilities = [np.array([[1.0, v], [v, 1.0]]) for v in map(NodeImperfections.visibility, imps)]
-    atoms = reduce(np.kron, [prepare(imp.prep_fidelity) for imp in imps])
-    # rho', dephased between the pulses: a channel on the atoms alone commutes with the thinning
-    atoms = pulse @ atoms @ pulse.conj().T * reduce(np.kron, visibilities)
-    for array in (thinning, pulse, atoms):
-        array.flags.writeable = False
-    return thinning, pulse, atoms
-
-
-def _propagate(config: ExperimentConfig, mean_photon: float) -> np.ndarray:
-    """Number-diagonal blocks S[n] of the state after the final pi/2 pulses.
-
-    The state is a (dim, 4, 4) stack of the two atoms' blocks, one per photon
-    number (see the module docstring). Block (X, Y) is the first pulses' atom
-    block rho'_XY times the input photon numbers thinned by the composed
-    weights of every stage up to the detectors: _propagator's map, built once
-    per physics and applied here to this point's input. Only the final stack
-    is formed, and it is validated.
-    """
-    dim = config.fock_space().dim
-    thinning, pulse, atoms = _propagator(
-        config.node1, config.node2, config.channel, config.detection_efficiency, dim
-    )
-    weights = thinning @ config.input_numbers(mean_photon)
-    blocks = pulse @ (np.moveaxis(weights, -1, 0) * atoms) @ pulse.conj().T
-    _check_blocks(blocks, "propagated state")
-    return blocks
-
-
-def _read_atom(blocks: np.ndarray, f: float, what: str) -> list[tuple[int, float, np.ndarray]]:
-    """(bit, probability, conditional (dim, b/2, b/2) blocks) per readout of the leading atom.
-
-    Symmetric misassignment at readout fidelity f; bit 1 means 'up'. An
-    outcome below MIN_PROBABILITY is dropped; the others are checked as `what`.
-    """
-    dim, size = blocks.shape[:2]
-    split = blocks.reshape(dim, 2, size // 2, 2, size // 2)
-    out = []
-    # Weights on the qubit's up (index 0) and down states.
-    for up, (w0, w1) in ((0, (1.0 - f, f)), (1, (f, 1.0 - f))):
-        reduced = w0 * split[:, 0, :, 0] + w1 * split[:, 1, :, 1]
-        p_read = float(reduced.trace(axis1=1, axis2=2).real.sum())
-        if p_read >= MIN_PROBABILITY:
-            cond = reduced / p_read
-            _check_blocks(cond, what)
-            out.append((up, p_read, cond))
-    return out
+    coupled = _reflection_weights(node2.pair(), node2.imperfections.reflection_contrast)
+    paths = [(1.0 - q, coupled), (q, _reflection_weights(node2.empty_pair()))]
+    second = sum(w * _thinning(*_compose(_compose(fiber, r), detected), dim) for w, r in paths)
+    nodes = []
+    for thinning, node in ((_thinning(*first, dim), node1), (second, node2)):
+        pulse, atom = _node_atom(node.imperfections)
+        for array in (thinning, atom, pulse):
+            array.flags.writeable = False
+        nodes.append((thinning, atom, pulse))
+    return tuple(nodes)
 
 
 def branch_photon_numbers(config: ExperimentConfig, mean_photon: float) -> np.ndarray:
     """P[s1, s2, n]: joint probability of both nodes' readouts and n photons before the split.
 
-    The engine's one output; every exact estimator reads it. The atoms are
-    read in order by _read_atom at each node's readout fidelity. A branch
-    whose readout has conditional probability below MIN_PROBABILITY is
-    dropped together with every branch below it, and its row is zero.
+    The engine's one output; every exact estimator reads it. Node 1's step
+    reads its atom first, and each of its kept outcomes' photon numbers run
+    through node 2's step. A readout below MIN_PROBABILITY drops its branch
+    and every branch below it, and its row is zero.
     """
-    branches = [((), 1.0, _propagate(config, mean_photon))]
-    for k in (1, 2):
-        f = config.node(k).imperfections.readout_fidelity
-        branches = [
-            (bits + (up,), p * p_read, cond)
-            for bits, p, blocks in branches
-            for up, p_read, cond in _read_atom(blocks, f, f"node {k} readout")
-        ]
-    table = np.zeros((2, 2, config.fock_space().dim))
-    for bits, p, blocks in branches:
-        table[bits] = p * blocks[:, 0, 0].real
+    dim = config.fock_space().dim
+    first, second = _cascade_nodes(
+        config.node1, config.node2, config.channel, config.detection_efficiency, dim
+    )
+    f1, f2 = (config.node(k).imperfections.readout_fidelity for k in (1, 2))
+    table = np.zeros((2, 2, dim))
+    for s1, p1, numbers in _node_step(config.input_numbers(mean_photon), *first, f1, "node 1"):
+        for s2, p2, detected in _node_step(numbers, *second, f2, "node 2"):
+            table[s1, s2] = p1 * p2 * detected
     return table
 
 

@@ -6,9 +6,10 @@ number modulo 2^k, with the readout basis fed forward from earlier digits.
 
 Like the cascade (see qndsim.protocol) it runs on the photon-number sector:
 every sorter channel keeps n - m and every output reads the number diagonal,
-so between nodes the light is a photon-number distribution, each node acts on
-a (dim, 2, 2) stack of its atom's blocks, and the fiber's phase flip drops out;
-the fiber's loss and the next node's gate are one thinning of those numbers.
+so between nodes the light is a photon-number distribution and the fiber's
+phase flip drops out. Each node is the cascade's node step
+(protocol._node_step) on a (dim, 2, 2) stack of its atom's blocks; the
+fiber's loss and the node's gate are one thinning of those numbers.
 """
 
 from __future__ import annotations
@@ -21,16 +22,15 @@ import numpy as np
 
 from .channel import ChannelParams
 from .errors import ConfigError
-from .fock import FockSpace, _check_blocks, pulse_amplitudes
+from .fock import FockSpace, pulse_amplitudes
 from .node import (
     CqedParams,
     NodeImperfections,
     ReflectionPair,
-    prepare,
     reflection_pair,
     rotation_matrix,
 )
-from .protocol import HALF_PI, _compose, _read_atom, _reflection_weights, _thin
+from .protocol import HALF_PI, _compose, _node_atom, _node_step, _reflection_weights, _thinning
 
 
 @dataclass(frozen=True)
@@ -153,29 +153,26 @@ class SorterResult:
 def run_sorter(config: SorterConfig) -> list[SorterResult]:
     """Heralding probabilities and conditional output photon numbers for every label.
 
-    Each node runs the cascade engine's pulses, dephasing and atom readout on
-    its (dim, 2, 2) stack; its gate, and the fiber before it, thin each photon
-    with the cascade's composed per-photon weights.
+    Each node is the cascade's node step (protocol._node_step): its gate, and
+    the fiber before it, are one thinning map built once per node, and each
+    branch's readout pulse is fed forward from the digits read so far.
     """
     transmission = config.channel.transmission if config.channel is not None else 1.0
+    dim = config.space().dim
     branches = [((), 1.0, config.input_numbers())]
     for j in range(1, config.k + 1):
         imp = config.node_imperfections(j)
-        pulse = rotation_matrix(HALF_PI, HALF_PI + imp.over_rotation())
         t = transmission if j > 1 else 1.0  # the fiber runs between consecutive nodes
-        path = _compose((t, 1.0 - t), _reflection_weights(config.gate_pair(j)))
-        v = imp.visibility()
-        atom = pulse @ prepare(imp.prep_fidelity) @ pulse.conj().T * np.array([[1.0, v], [v, 1.0]])
+        thinning = _thinning(*_compose((t, 1.0 - t), _reflection_weights(config.gate_pair(j))), dim)
+        _, atom = _node_atom(imp)
         deeper = []
         for bits, weight, numbers in branches:
             basis = feed_forward_basis(bits, config.k)
             readout = rotation_matrix(basis.azimuth, basis.angle + imp.over_rotation())
-            blocks = np.moveaxis(_thin(numbers, *path), -1, 0) * atom
-            blocks = readout @ blocks @ readout.conj().T
-            _check_blocks(blocks, f"sorter node {j}")
-            for up, p, cond in _read_atom(blocks, imp.readout_fidelity, f"sorter node {j} readout"):
+            read = _node_step(numbers, thinning, atom, readout, imp.readout_fidelity, f"sorter node {j}")
+            for up, p, cond in read:
                 bit = basis.up_means_bit if up else 1 - basis.up_means_bit
-                deeper.append((bits + (bit,), weight * p, cond[:, 0, 0].real))
+                deeper.append((bits + (bit,), weight * p, cond))
         branches = deeper
     heralds: dict[int, list[tuple[float, np.ndarray]]] = {}
     for bits, weight, numbers in branches:
@@ -191,6 +188,8 @@ def run_sorter(config: SorterConfig) -> list[SorterResult]:
 
 def herald_confusion_matrix(config: SorterConfig, n_range: Sequence[int]) -> np.ndarray:
     """P(herald = m | input Fock n) for n in n_range; rows sum to 1."""
+    if len(n_range) == 0:
+        raise ConfigError("photon-number range n_range is empty: the matrix needs at least one Fock input")
     labels = 2**config.k
     space_max = max(max(n_range), 1)
     matrix = np.zeros((len(n_range), labels))

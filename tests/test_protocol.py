@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from conftest import conditional, random_configs
 from qndsim.channel import ChannelParams, detection_path, fiber_channel
 from qndsim.cli import build_figure, main
-from qndsim.config import ideal_config, parse_config_text, serialize_config
+from qndsim.config import build_config, config_values, ideal_config, parse_config_text, serialize_config
 from qndsim.detectors import hbt_split_and_count
 from qndsim.errors import ConfigError, ZeroProbabilityError
 from qndsim.estimators import G2_CONDITIONS, cells_from_distribution, g2_from_numbers, g2_table, snr
 from qndsim.estimators import quiet_detectors
-from qndsim.fock import JointState, _beam_splitter_unitary, coherent_state, fock_state, loss_channel
+from qndsim.fock import MIN_PROBABILITY, JointState, _beam_splitter_unitary, coherent_state, fock_state, loss_channel
 from qndsim.node import (
     CqedParams,
     ReflectionPair,
@@ -37,11 +37,10 @@ from qndsim.node import (
 from qndsim.protocol import (
     HALF_PI,
     JointDistribution,
+    _cascade_nodes,
     _compose,
-    _propagator,
-    _read_atom,
     _reflection_weights,
-    _thin,
+    _thinning,
     branch_photon_numbers,
     conditioned_photon_state,
     mirrored,
@@ -129,9 +128,10 @@ def dense_tables(config, mu, nodes=(1, 2), fiber=fiber_channel):
 def reference_propagate(config, mu, nodes=(1, 2)):
     """Number-diagonal blocks after the final pulses, composed and thinned at this point.
 
-    The per-point formula that the engine's per-config map (protocol._propagator)
-    replaced, kept as its reference: every stage's per-photon weights are
-    composed, and the input photon numbers thinned, at each call.
+    The per-point joint formula that the engine's per-node steps
+    (protocol._node_step) replaced, kept as their reference: every stage's
+    per-photon weights are composed on the atoms' joint blocks, and the input
+    photon numbers thinned, at each call.
     """
     k = len(nodes)
     imps = [config.node(j).imperfections for j in nodes]
@@ -166,15 +166,26 @@ def reference_propagate(config, mu, nodes=(1, 2)):
 
 
 def reference_photon_numbers(config, mu, nodes=(1, 2)):
-    """branch_photon_numbers read from reference_propagate's blocks."""
+    """branch_photon_numbers read atom by atom from reference_propagate's joint blocks.
+
+    Each readout is the partial trace of the leading atom against its
+    misassignment POVM; a branch below MIN_PROBABILITY is dropped, as the
+    engine drops it.
+    """
     branches = [((), 1.0, reference_propagate(config, mu, nodes))]
     for k in nodes:
         f = config.node(k).imperfections.readout_fidelity
-        branches = [
-            (bits + (up,), p * p_read, cond)
-            for bits, p, blocks in branches
-            for up, p_read, cond in _read_atom(blocks, f, "reference readout")
-        ]
+        povm = np.array([[1.0 - f, f], [f, 1.0 - f]])  # [bit, state]: bit 1 and state 0 are 'up'
+        deeper = []
+        for bits, p, blocks in branches:
+            dim, size = blocks.shape[:2]
+            split = blocks.reshape(dim, 2, size // 2, 2, size // 2)
+            for bit in (0, 1):
+                reduced = np.einsum("s,nsasb->nab", povm[bit], split)
+                p_read = reduced.trace(axis1=1, axis2=2).real.sum()
+                if p_read >= MIN_PROBABILITY:
+                    deeper.append((bits + (bit,), p * p_read, reduced / p_read))
+        branches = deeper
     table = np.zeros((2,) * len(nodes) + (config.fock_space().dim,))
     for bits, p, blocks in branches:
         table[bits] = p * blocks[:, 0, 0].real
@@ -214,10 +225,10 @@ def split_rows(config, numbers):
     return table
 
 
-def propagator_of(config):
-    """_propagator's cached entry for a config's physics and cutoff."""
+def nodes_of(config):
+    """_cascade_nodes' cached entry for a config's physics and cutoff: (thinning, atom, pulse) per node."""
     dim = config.fock_space().dim
-    return _propagator(config.node1, config.node2, config.channel, config.detection_efficiency, dim)
+    return _cascade_nodes(config.node1, config.node2, config.channel, config.detection_efficiency, dim)
 
 
 def seed1_random_configs():
@@ -480,6 +491,21 @@ class TestPropagatorMatchesPerPoint:
     def test_fock_input(self, base_config, fock_n):
         self._assert_matches(replace(base_config, input_kind="fock", fock_n=fock_n), (0.0,))
 
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            {"channel.transmission": 0.0},  # no light past the fiber
+            {"channel.depolarization": 1.0, "channel.birefringence_residual": 0.0},  # every pulse scrambled
+            {"node1.reflection_contrast": 0.0, "node2.reflection_contrast": 0.0},  # no branch coherence
+            {"node1.readout_fidelity": 0.5, "node2.readout_fidelity": 0.5},  # readouts that tell nothing
+            {"node1.readout_fidelity": 0.0, "node2.readout_fidelity": 0.0},  # readouts that always lie
+            {"detection.efficiency": 0.0},  # no light at the detectors
+        ],
+    )
+    def test_edge_configs(self, base_config, edge):
+        config = build_config({**config_values(base_config), **edge})
+        self._assert_matches(config, config.mean_photon_sweep)
+
     @settings(derandomize=True, max_examples=24, deadline=None)
     @given(config=random_configs())
     def test_random_configs(self, config):
@@ -496,7 +522,7 @@ print(json.dumps(run_cascade(parse_config_text(sys.stdin.read()), float(sys.argv
 
 
 class TestCaches:
-    """The per-physics propagator and the split's unitary are cached across calls."""
+    """The per-physics node maps and the split's unitary are cached across calls."""
 
     def test_caches_neither_leak_nor_mutate(self, base_config, tmp_path):
         # The same figure, built twice in one process, writes the same bytes.
@@ -531,22 +557,23 @@ class TestCaches:
             assert alternated[0][i] == alternated[1][i] == json.loads(fresh.stdout), f"config {i}"
 
         # No cached array can be written to.
-        cached = [*propagator_of(base_config), *propagator_of(mirrored(base_config, 2))]
+        cached = [array for c in (base_config, mirrored(base_config, 2)) for node in nodes_of(c) for array in node]
         cached.append(_beam_splitter_unitary(5, 5, 0.5, 0.0))
         for array in cached:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0.0
 
     def test_quiet_twin_shares_the_propagator(self, base_config):
-        # The propagation reads no dark rate, so fig3's two sweeps, on the
-        # config and on its quiet_detectors() twin, build one map.
-        _propagator.cache_clear()
+        # The node steps read no dark rate, so fig3's two sweeps, on the
+        # config and on its quiet_detectors() twin, build one entry.
+        _cascade_nodes.cache_clear()
         build_figure("fig3", base_config)
-        assert _propagator.cache_info().currsize == 1
-        assert propagator_of(quiet_detectors(base_config)) is propagator_of(base_config)
-        for array in propagator_of(base_config):
-            with pytest.raises(ValueError, match="read-only"):
-                array.flat[0] = 0.0
+        assert _cascade_nodes.cache_info().currsize == 1
+        assert nodes_of(quiet_detectors(base_config)) is nodes_of(base_config)
+        for node in nodes_of(base_config):
+            for array in node:
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 0.0
 
 
 def _transfer(kraus):
@@ -566,15 +593,11 @@ class TestThinningWeights:
 
     DIM = 25  # the cutoff cap: the largest binomials the engine forms
 
-    def _binomial_transfer(self, a, b):
-        """C(n, m) a^m b^(n - m) as T[..., m, n]: column n thins n photons."""
-        return np.stack([_thin(one, a, b) for one in np.eye(self.DIM)], axis=-1)
-
     def _assert_reflection(self, pair, contrast=1.0):
         expected = _transfer(_branch_reflection_kraus(self.DIM, pair))
         if contrast < 1.0:
             expected = _transfer(_distinguishability_kraus(self.DIM, contrast)) @ expected
-        got = self._binomial_transfer(*_reflection_weights(pair, contrast))
+        got = _thinning(*_reflection_weights(pair, contrast), self.DIM)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
     def test_near_unit_reflection(self):
@@ -594,7 +617,7 @@ class TestThinningWeights:
         pair = ReflectionPair(math.sqrt(t), math.sqrt(t))
         self._assert_reflection(pair)
         expected = _transfer(_branch_reflection_kraus(self.DIM, pair))[0, 0]
-        np.testing.assert_allclose(self._binomial_transfer(t, 1.0 - t), expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_thinning(t, 1.0 - t, self.DIM), expected, rtol=0, atol=1e-15)
 
     def test_sorter_gate(self):
         params = (CqedParams(7.6, 2.5, 3.0, delta_c=0.3),) * 3

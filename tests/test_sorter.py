@@ -317,6 +317,11 @@ class TestConfusionMatrix:
         m = herald_confusion_matrix(SorterConfig(k=3), range(8))
         assert np.max(np.abs(m - np.eye(8))) < 1e-12
 
+    @pytest.mark.parametrize("n_range", [[], range(0)])
+    def test_empty_range_refused(self, n_range):
+        with pytest.raises(ConfigError, match="n_range is empty"):
+            herald_confusion_matrix(SorterConfig(k=2), n_range)
+
 
 class TestRealisticMode:
     def test_amplitude_penalty_keeps_completeness(self):
